@@ -149,6 +149,20 @@ def _parse_float(tok: str, path: str, lineno: int) -> float:
     return v
 
 
+def _parse_row(toks: list, path: str, lineno: int) -> np.ndarray:
+    """One line of number tokens as a float array, converted in one call.
+
+    Only a row that fails is parsed token by token, to name the bad token.
+    """
+    try:
+        row = np.array(toks, dtype=np.float64)
+    except ValueError:
+        row = None
+    if row is None or not np.all(np.isfinite(row)):
+        row = np.array([_parse_float(t.strip(), path, lineno) for t in toks])
+    return row
+
+
 def _data_lines(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -185,14 +199,14 @@ def load_adjacency(
     if fmt == "dense_csv":
         rows = []
         for lineno, line in lines:
-            toks = [t.strip() for t in line.split(",")]
+            toks = line.split(",")
             if not rows and not _is_number(toks[0]):
                 continue  # header
             if rows and len(toks) != len(rows[0]):
                 raise DataError(
                     f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(toks)}"
                 )
-            rows.append([_parse_float(t, path, lineno) for t in toks])
+            rows.append(_parse_row(toks, path, lineno))
         w = np.asarray(rows)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DataError(f"{path}: dense adjacency must be square, got {w.shape}")
@@ -254,14 +268,14 @@ def load_series(path: str, n: int, d: int = 1) -> np.ndarray:
         raise DataError(f"{path}: empty series file")
     rows = []
     for lineno, line in lines:
-        toks = [t.strip() for t in line.split(",")]
+        toks = line.split(",")
         if not rows and not _is_number(toks[0]):
             continue  # header
         if len(toks) != n * d:
             raise DataError(
                 f"{path}:{lineno}: expected {n * d} columns, got {len(toks)}"
             )
-        rows.append([_parse_float(t, path, lineno) for t in toks])
+        rows.append(_parse_row(toks, path, lineno))
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.asarray(rows).reshape(len(rows), n, d)

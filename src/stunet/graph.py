@@ -2,13 +2,16 @@
 
 The convolution filters a node-signal matrix with a K-localized polynomial of
 the rescaled Laplacian, evaluated by the three-term recursion applied directly
-to the signal. An exact spectral form computed from a full eigendecomposition
-(cyclic Jacobi) is provided for verification on small graphs only.
+to the signal as one fused op. Each Laplacian fixes its product operator when
+it is built, by row width: padded-neighbour (ELL) index and weight arrays when
+the widest row is narrow against the node count, the dense rescaled matrix
+otherwise. lambda_max is exact (a dense symmetric eigensolve). An exact
+spectral form computed from a full eigendecomposition (cyclic Jacobi) is
+provided for verification on small graphs only.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +20,14 @@ from . import tensor as T
 from .errors import DimensionError, GraphError, UsageError
 from .tensor import Tensor, apply_op
 
-log = logging.getLogger(__name__)
-
 _SYM_TOL = 1e-12
+# the sparse operator is used when the widest row times this is below n
+_ELL_WIDTH_RATIO = 16
+# neighbour slots gathered at once, so no temporary exceeds 8 activations
+_ELL_CHUNK = 8
+# leading rows are gathered in blocks of about this many elements (512 KB),
+# so the gathered block is still in cache when it is reduced
+_GATHER_ELEMS = 1 << 16
 
 
 class Graph:
@@ -47,7 +55,7 @@ class Graph:
         """Build from (i, j, w) triples; parallel entries keep the max weight."""
         w = np.zeros((n, n))
         for i, j, wt in edges:
-            if not 0 <= i < n and 0 <= j < n:
+            if not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"edge ({i},{j}) out of range for n={n}")
             if i == j:
                 raise GraphError(f"self loop at node {i}")
@@ -57,12 +65,8 @@ class Graph:
 
     def edges(self):
         """Edges as (i, j, w) with i < j, in lexicographic order."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.weights[i, j] > 0:
-                    out.append((i, j, float(self.weights[i, j])))
-        return out
+        i, j = np.nonzero(np.triu(self.weights, 1))
+        return list(zip(i.tolist(), j.tolist(), self.weights[i, j].tolist()))
 
     def degrees(self) -> np.ndarray:
         """Weighted degree per node."""
@@ -126,27 +130,69 @@ class SpectralDecomposition:
 
 
 class GraphLaplacian:
-    """Normalized Laplacian with its largest eigenvalue and rescaled form."""
+    """Normalized Laplacian with its largest eigenvalue, rescaled form
+    L~ = 2L/lambda_max - I, and the operator that applies L~ to signals."""
 
-    __slots__ = ("n", "lap", "lambda_max", "rescaled", "_rescaled_tensor")
+    __slots__ = ("n", "lap", "lambda_max", "rescaled", "ell", "_rescaled_tensor")
 
     def __init__(self, lap: np.ndarray, lambda_max: float):
         self.n = lap.shape[0]
         self.lap = lap
         self.lambda_max = float(lambda_max)
         self.rescaled = 2.0 * lap / self.lambda_max - np.eye(self.n)
+        self.ell = _ell_operator(self.rescaled)
         self._rescaled_tensor = Tensor(self.rescaled)
 
     def rescaled_tensor(self) -> Tensor:
-        """The rescaled Laplacian as a constant tensor for convolution."""
+        """The rescaled Laplacian as a constant tensor."""
         return self._rescaled_tensor
+
+    def product(self, v: np.ndarray) -> np.ndarray:
+        """L~ v along the node axis (second to last) of v, as a new array."""
+        if self.ell is None or v.size == 0:
+            return self.rescaled @ v
+        idx, wts = self.ell
+        n, c = v.shape[-2:]
+        rows = v.reshape(-1, n, c)
+        out = np.empty(rows.shape)
+        step = max(1, _GATHER_ELEMS // (n * min(idx.shape[1], _ELL_CHUNK) * c))
+        for b in range(0, rows.shape[0], step):
+            blk = out[b : b + step]
+            for s in range(0, idx.shape[1], _ELL_CHUNK):
+                part = np.einsum(
+                    "bnsc,ns->bnc",
+                    np.take(rows[b : b + step], idx[:, s : s + _ELL_CHUNK], axis=1),
+                    wts[:, s : s + _ELL_CHUNK],
+                    out=None if s else blk,
+                )
+                if s:
+                    blk += part
+        return out.reshape(v.shape)
+
+
+def _ell_operator(m: np.ndarray):
+    """Padded-neighbour form (index, weight), each (n, width), of the nonzeros
+    of m, or None when the widest row is too wide for gathers to beat a dense
+    product. Padding slots point at their own row with weight 0."""
+    n = m.shape[0]
+    rows, cols = np.nonzero(m)
+    counts = np.bincount(rows, minlength=n)
+    width = int(counts.max(initial=0))
+    if width * _ELL_WIDTH_RATIO >= n:
+        return None
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.repeat(np.arange(n)[:, None], width, axis=1)
+    wts = np.zeros((n, width))
+    idx[rows, slot] = cols
+    wts[rows, slot] = m[rows, cols]
+    return idx, wts
 
 
 def normalized_laplacian(g: Graph, lambda_max: float | None = None) -> GraphLaplacian:
     """L = I - D^{-1/2} W D^{-1/2}; zero-degree nodes yield identity rows.
 
-    lambda_max=None estimates the largest eigenvalue by power iteration;
-    passing a number (commonly 2.0) forces that value instead.
+    lambda_max=None computes the largest eigenvalue exactly; passing a number
+    (commonly 2.0) forces that value instead.
     """
     deg = g.degrees()
     inv_sqrt = np.zeros_like(deg)
@@ -159,36 +205,14 @@ def normalized_laplacian(g: Graph, lambda_max: float | None = None) -> GraphLapl
     return GraphLaplacian(lap, float(lambda_max))
 
 
-def estimate_lambda_max(
-    lap: np.ndarray, tol: float = 1e-7, max_iter: int = 10000
-) -> float:
-    """Largest eigenvalue of a normalized Laplacian via power iteration.
-
-    Iterates on L + I (spectrum in [1, 3], so the top eigenvalue dominates) and
-    subtracts the shift. Falls back to the spectral bound 2.0 with a warning
-    when the residual never drops below tol.
-    """
-    n = lap.shape[0]
+def estimate_lambda_max(lap: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric Laplacian by a dense eigensolve;
+    2.0 (the normalized spectral bound) for an empty graph."""
     if np.abs(lap - lap.T).max(initial=0.0) > 1e-9:
         raise GraphError("lambda_max estimation requires a symmetric matrix")
-    if n == 0:
+    if lap.shape[0] == 0:
         return 2.0
-    shifted = lap + np.eye(n)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(max_iter):
-        u = shifted @ v
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            break
-        v = u / norm
-        u = shifted @ v
-        lam = float(v @ u)
-        if np.linalg.norm(u - lam * v) <= tol:
-            return lam - 1.0
-    log.warning("power iteration did not converge; falling back to lambda_max=2")
-    return 2.0
+    return float(np.linalg.eigvalsh(lap)[-1])
 
 
 class ChebKernel:
@@ -231,25 +255,47 @@ def kernel_matrix(kernel: ChebKernel) -> Tensor:
 
 
 def cheb_basis(lap: GraphLaplacian, x: Tensor, order: int) -> Tensor:
-    """Stack [T_0(L~)x | ... | T_{K-1}(L~)x] along the channel axis.
+    """Stack [T_0(L~)x | ... | T_{K-1}(L~)x] along the channel axis, one op.
 
     The recursion T_k = 2 L~ T_{k-1} - T_{k-2} is applied to the signal, never
-    materializing polynomial matrices.
+    materializing polynomial matrices, and writes each term into one buffer.
+    The pullback runs the transposed (Clenshaw) recursion; L~ is symmetric and
+    constant, so it needs L~ products only.
     """
-    if x.data.shape[-2] != lap.n:
+    if order < 1:
+        raise UsageError(f"Chebyshev order must be >= 1, got {order}")
+    xd = x.data
+    if xd.shape[-2] != lap.n:
         raise DimensionError(
-            f"signal node extent {x.data.shape[-2]} != graph size {lap.n}"
+            f"signal node extent {xd.shape[-2]} != graph size {lap.n}"
         )
-    lt = lap.rescaled_tensor()
-    terms = [x]
-    if order > 1:
-        terms.append(T.matmul(lt, x))
-    for _ in range(2, order):
-        terms.append(T.sub(T.scale(T.matmul(lt, terms[-1]), 2.0), terms[-2]))
-    out = terms[0]
-    for term in terms[1:]:
-        out = T.concat_channels(out, term)
-    return out
+    c = xd.shape[-1]
+    out = np.empty(xd.shape[:-1] + (order * c,))
+    out[..., :c] = xd
+    prev, cur = None, xd
+    for k in range(1, order):
+        nxt = lap.product(cur)
+        if prev is not None:
+            nxt *= 2.0
+            nxt -= prev
+        out[..., k * c : (k + 1) * c] = nxt
+        prev, cur = cur, nxt
+
+    def pull(g):
+        # b_k = g_k + 2 L~ b_{k+1} - b_{k+2};  dx = g_0 + L~ b_1 - b_2
+        blocks = [g[..., k * c : (k + 1) * c] for k in range(order)]
+        b1, b2 = blocks[-1], None
+        for k in range(order - 2, -1, -1):
+            b = lap.product(b1)
+            if k:
+                b *= 2.0
+            b += blocks[k]
+            if b2 is not None:
+                b -= b2
+            b1, b2 = b, b1
+        return (b1,)
+
+    return apply_op(out, (x,), pull)
 
 
 def cheb_conv(kernel: ChebKernel, lap: GraphLaplacian, x: Tensor) -> Tensor:

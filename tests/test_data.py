@@ -251,3 +251,12 @@ def test_data_errors_carry_file_and_line(tmp_path):
     with pytest.raises(DataError) as err:
         load_adjacency(path)
     assert "broken.csv:2" in str(err.value)
+
+
+def test_row_parse_errors_name_line_and_token(tmp_path):
+    path = write(tmp_path, "adj.csv", "0, 1\n1 ,inf\n")
+    with pytest.raises(DataError, match=r"adj\.csv:2: non-finite value 'inf'"):
+        load_adjacency(path)
+    path = write(tmp_path, "series.csv", "a,b\n1.0,2.0\n3.0, 4x \n")
+    with pytest.raises(DataError, match=r"series\.csv:3: bad number '4x'"):
+        load_series(path, 2)

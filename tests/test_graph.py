@@ -5,6 +5,7 @@ import pytest
 
 from conftest import check_gradients, leaf, path_graph, random_graph
 from stunet import tensor as T
+from stunet.data import knn_grid_graph
 from stunet.errors import GraphError, UsageError
 from stunet.graph import (
     ChebKernel,
@@ -40,6 +41,27 @@ def test_graph_from_edges_merges_by_max():
     assert g.weights[0, 1] == 5.0
     assert g.edges() == [(0, 1, 5.0), (1, 2, 1.0)]
     assert np.array_equal(g.degrees(), [5.0, 6.0, 1.0])
+
+
+def test_graph_from_edges_rejects_out_of_range_endpoints():
+    # a negative index must not wrap around to node n-1
+    with pytest.raises(GraphError):
+        Graph.from_edges(3, [(0, -1, 1.0)])
+    with pytest.raises(GraphError):
+        Graph.from_edges(3, [(0, 5, 1.0)])
+
+
+def test_graph_edges_lexicographic_from_dense():
+    g = random_graph(np.random.default_rng(13), 9)
+    expect = [
+        (i, j, float(g.weights[i, j]))
+        for i in range(g.n)
+        for j in range(i + 1, g.n)
+        if g.weights[i, j] > 0
+    ]
+    got = g.edges()
+    assert got == expect
+    assert all(type(v) is t for e in got for v, t in zip(e, (int, int, float)))
 
 
 def test_single_edge_laplacian_hand_value():
@@ -195,3 +217,104 @@ def test_cheb_conv_gradients():
 def test_laplacian_cache_reuses_tensor():
     lap = normalized_laplacian(path_graph(3))
     assert lap.rescaled_tensor() is lap.rescaled_tensor()
+
+
+def dense_basis(lap, x, order):
+    """The recursion with explicit dense products, as the reference."""
+    terms = [x]
+    if order > 1:
+        terms.append(lap.rescaled @ x)
+    for _ in range(2, order):
+        terms.append(2.0 * lap.rescaled @ terms[-1] - terms[-2])
+    return np.concatenate(terms, axis=-1)
+
+
+def complete_graph(n):
+    return Graph(np.ones((n, n)) - np.eye(n))
+
+
+def hub_graph(n, spokes):
+    """Path over n nodes plus one hub joined to `spokes` extra nodes, so one
+    row is much wider than the rest."""
+    edges = [(i, i + 1, 1.0) for i in range(n - 1)]
+    edges += [(0, j, 0.5) for j in range(2, 2 + spokes)]
+    return Graph.from_edges(n, edges)
+
+
+def test_operator_choice_follows_row_width():
+    assert normalized_laplacian(knn_grid_graph(10, 10)).ell is not None
+    assert normalized_laplacian(complete_graph(12)).ell is None
+    assert normalized_laplacian(knn_grid_graph(8, 8)).ell is None
+
+
+@pytest.mark.parametrize(
+    "g", [knn_grid_graph(10, 10), complete_graph(12)], ids=["ell", "dense"]
+)
+def test_cheb_basis_matches_dense_recursion(g):
+    lap = normalized_laplacian(g)
+    x = np.random.default_rng(14).normal(size=(3, g.n, 4))
+    for order in (1, 2, 3, 5):
+        got = cheb_basis(lap, Tensor(x), order).data
+        assert got.shape == (3, g.n, 4 * order)
+        assert np.abs(got - dense_basis(lap, x, order)).max() < 1e-12
+
+
+def test_wide_row_sparse_operator_matches_dense():
+    g = hub_graph(400, 20)  # widest row 22 slots: sparse, gathered in 3 chunks
+    lap = normalized_laplacian(g)
+    assert lap.ell is not None and lap.ell[0].shape[1] == 22
+    x = np.random.default_rng(15).normal(size=(2, g.n, 3))
+    assert np.abs(lap.product(x) - lap.rescaled @ x).max() < 1e-12
+    got = cheb_basis(lap, Tensor(x), 4).data
+    assert np.abs(got - dense_basis(lap, x, 4)).max() < 1e-12
+
+
+def test_cheb_conv_gradients_sparse_operator():
+    rng = np.random.default_rng(16)
+    lap = normalized_laplacian(knn_grid_graph(10, 10))
+    assert lap.ell is not None
+    kern = ChebKernel.init(rng, k=4, c_in=2, c_out=2)
+    x = leaf((2, 100, 2), seed=17)
+
+    check_gradients(
+        lambda: T._reduce_sum(T.tanh(cheb_conv(kern, lap, x))),
+        [kern.theta, x],
+        rel_tol=1e-5,
+    )
+
+
+def test_cheb_basis_pullback_is_transposed_recursion():
+    lap = normalized_laplacian(hub_graph(400, 20))
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.normal(size=(2, 400, 3)), requires_grad=True)
+    g = rng.normal(size=(2, 400, 12))
+    basis = cheb_basis(lap, x, 4)
+    T.backward(T._reduce_sum(T.mul_const(basis, g)))
+    # d<g, B(x)>/dx = sum_k T_k(L~)^T g_k, with T_k(L~) as dense matrices
+    r = lap.rescaled
+    polys = [np.eye(400), r]
+    for _ in range(2, 4):
+        polys.append(2.0 * r @ polys[-1] - polys[-2])
+    want = sum(polys[k].T @ g[..., 3 * k : 3 * k + 3] for k in range(4))
+    assert np.abs(x.grad - want).max() < 1e-12
+
+
+def test_cheb_basis_batched_rows_bit_identical_sparse_operator():
+    lap = normalized_laplacian(knn_grid_graph(10, 10))
+    assert lap.ell is not None
+    # 40 channels: the batch spans more than one gather block
+    xb = np.random.default_rng(19).normal(size=(5, 100, 40))
+    got = cheb_basis(lap, Tensor(xb), 3).data
+    for b in range(5):
+        assert np.array_equal(got[b], cheb_basis(lap, Tensor(xb[b]), 3).data)
+
+
+def test_lambda_max_equals_eigvalsh():
+    graphs = [knn_grid_graph(24, 24)]
+    rng = np.random.default_rng(20)
+    graphs += [random_graph(rng, int(rng.integers(2, 40))) for _ in range(10)]
+    for g in graphs:
+        lap = normalized_laplacian(g)
+        assert abs(lap.lambda_max - np.linalg.eigvalsh(lap.lap)[-1]) < 1e-10
+        if g.n <= 64:  # independent route: the Jacobi oracle
+            assert abs(lap.lambda_max - jacobi_eigh(lap.lap)[0][-1]) < 1e-9
