@@ -173,13 +173,17 @@ def _require(value: str, hint: str) -> str:
     return value
 
 
-def _load_dataset(rc: RunConfig, extras: dict) -> TimeSeriesDataset:
+def _load_graph(rc: RunConfig, extras: dict):
     adj = _require(rc.adj_path, "adjacency path (--adj or adj_path=)")
-    series_path = _require(rc.series_path, "series path (--series or series_path=)")
     fmt = extras.get("adj_format", "dense_csv")
     sigma = _parse_float(extras.get("gauss_sigma", "1.0"), "gauss_sigma")
     eps = _parse_float(extras.get("gauss_eps", "0.0"), "gauss_eps")
-    g = load_adjacency(adj, fmt, sigma=sigma, eps=eps)
+    return load_adjacency(adj, fmt, sigma=sigma, eps=eps)
+
+
+def _load_dataset(rc: RunConfig, extras: dict) -> TimeSeriesDataset:
+    series_path = _require(rc.series_path, "series path (--series or series_path=)")
+    g = _load_graph(rc, extras)
     series = load_series(series_path, g.n, rc.model.d_in)
     return TimeSeriesDataset(series=series, graph=g, interval_minutes=rc.interval_minutes)
 
@@ -211,22 +215,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _steps_for(rc: RunConfig, horizon: int) -> tuple:
-    if rc.horizons is None:
-        return tuple(range(1, horizon + 1))
-    steps = tuple(int(h) for h in rc.horizons)
-    if any(s < 1 or s > horizon for s in steps):
-        raise UsageError(f"metric horizons {steps} must lie in 1..{horizon}")
-    return steps
-
-
 def cmd_eval(args) -> int:
     rc, extras = run_config_from_mapping(_mapping_from_args(args))
     ckpt = _require(rc.ckpt_path, "checkpoint path (--ckpt or ckpt_path=)")
     ds = _load_dataset(rc, extras)
     model = load_checkpoint(ckpt, ds.graph)
-    steps = _steps_for(rc, model.config.h)
-    report = evaluate_model(model, ds, steps, batch_size=rc.batch_size)
+    report = evaluate_model(model, ds, rc.horizons, batch_size=rc.batch_size)
     prov = provenance_lines(rc, (rc.seed,))
     text = report.render_text(prov)
     paths = write_report_files(_out_dir(rc), "metrics", text, report.render_csv(prov))
@@ -239,11 +233,7 @@ def cmd_predict(args) -> int:
     rc, extras = run_config_from_mapping(_mapping_from_args(args))
     ckpt = _require(rc.ckpt_path, "checkpoint path (--ckpt or ckpt_path=)")
     window_path = _require(rc.series_path, "recent-window path (--series or series_path=)")
-    adj = _require(rc.adj_path, "adjacency path (--adj or adj_path=)")
-    fmt = extras.get("adj_format", "dense_csv")
-    sigma = _parse_float(extras.get("gauss_sigma", "1.0"), "gauss_sigma")
-    eps = _parse_float(extras.get("gauss_eps", "0.0"), "gauss_eps")
-    g = load_adjacency(adj, fmt, sigma=sigma, eps=eps)
+    g = _load_graph(rc, extras)
     model = load_checkpoint(ckpt, g)
     cfg = model.config
     window = load_series(window_path, g.n, cfg.d_in)

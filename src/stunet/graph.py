@@ -63,10 +63,14 @@ class Graph:
             w[j, i] = w[i, j]
         return cls(w)
 
-    def edges(self):
-        """Edges as (i, j, w) with i < j, in lexicographic order."""
+    def edge_arrays(self):
+        """Edges as arrays (i, j, w) with i < j, in lexicographic order."""
         i, j = np.nonzero(np.triu(self.weights, 1))
-        return list(zip(i.tolist(), j.tolist(), self.weights[i, j].tolist()))
+        return i, j, self.weights[i, j]
+
+    def edges(self):
+        """Edges as (i, j, w) tuples with i < j, in lexicographic order."""
+        return list(zip(*(a.tolist() for a in self.edge_arrays())))
 
     def degrees(self) -> np.ndarray:
         """Weighted degree per node."""

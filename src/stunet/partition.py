@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import PartitionError, UsageError
 from .graph import Graph
+from .tensor import member_table
 
 
 @dataclass
@@ -66,23 +67,27 @@ def _grow_paths(g: Graph):
     the heaviest incident neighbor (ties to the lower id), and removes the
     departed vertex so no vertex is revisited.
     """
-    w = g.weights.copy()
+    w = g.weights
+    rows, cols = np.nonzero(w > 0)
+    ptr = np.searchsorted(rows, np.arange(g.n + 1))
+    removed = np.zeros(g.n, dtype=bool)
     paths = []
     for start in range(g.n):
-        if w[start].max(initial=0.0) <= 0:
+        if removed[start]:
             continue
         path = []
         v = start
-        while w[v].max(initial=0.0) > 0:
-            nbrs = np.nonzero(w[v] > 0)[0]
+        while True:
+            nbrs = cols[ptr[v] : ptr[v + 1]]
+            nbrs = nbrs[~removed[nbrs]]
+            if nbrs.size == 0:
+                break
             best = nbrs[np.argmax(w[v, nbrs])]  # argmax keeps the lowest id on ties
             path.append((int(v), int(best), float(w[v, best])))
-            w[v, :] = 0.0
-            w[:, v] = 0.0
+            removed[v] = True
             v = best
-        w[v, :] = 0.0
-        w[:, v] = 0.0
-        paths.append(path)
+        if path:
+            paths.append(path)
     return paths
 
 
@@ -155,30 +160,48 @@ def coarsen(g: Graph, matching: Matching):
     dropped. Returns (coarse graph, parent array of length g.n).
     """
     matching.weight(g)  # validates every pair is a real edge
-    groups = list(matching.pairs) + [
-        (v,) for v in range(g.n) if v not in matching.matched_nodes()
-    ]
-    groups.sort(key=min)
-    parent = np.empty(g.n, dtype=np.int64)
-    for s, grp in enumerate(groups):
-        for v in grp:
-            parent[v] = s
-    n_coarse = len(groups)
-    w = np.zeros((n_coarse, n_coarse))
-    for i, j, wt in g.edges():
-        a, b = parent[i], parent[j]
-        if a != b:
-            w[a, b] += wt
-            w[b, a] += wt
+    lowest = np.arange(g.n)
+    pairs = np.array(matching.pairs, dtype=np.int64).reshape(-1, 2)
+    lowest[pairs[:, 1]] = pairs[:, 0]
+    ids, parent = np.unique(lowest, return_inverse=True)
+    i, j, wt = g.edge_arrays()
+    a, b = parent[i], parent[j]
+    cross = a != b
+    a, b, wt = a[cross], b[cross], wt[cross]
+    # both orientations interleaved, so every cell sums its edges in edge order
+    rows, cols = np.stack((a, b), axis=1).ravel(), np.stack((b, a), axis=1).ravel()
+    w = np.zeros((ids.size, ids.size))
+    np.add.at(w, (rows, cols), np.repeat(wt, 2))
     return Graph(w), parent
 
 
 @dataclass
 class PartitionMap:
-    """Hierarchy of graphs with the node-to-supernode map at each level."""
+    """Hierarchy of graphs with the node-to-supernode map at each level.
+
+    Built once per level k, for unpooling: ``slots[k]``, the slot of each
+    finer node within its supernode (heaviest finer-graph weighted degree
+    first, ties to the lower id), and ``member_stats[k]``, per finer node its
+    degree over the level's max degree, its degree and its supernode's size.
+    """
 
     graphs: list  # graphs[0] finest, graphs[-1] coarsest
     parents: list  # parents[k][i] = supernode of node i when moving to level k+1
+
+    def __post_init__(self):
+        self.slots, self.member_stats = [], []
+        for fine, coarse, parent in zip(self.graphs, self.graphs[1:], self.parents):
+            _, counts = member_table(parent, fine.n, coarse.n)
+            deg = fine.degrees()
+            # grouped by supernode, heaviest first; lexsort is stable, so ties
+            # keep ascending node id
+            ranked = np.lexsort((-deg, parent))
+            slot = np.empty(fine.n, dtype=np.int64)
+            slot[ranked] = np.arange(fine.n) - np.repeat(np.cumsum(counts) - counts, counts)
+            max_deg = deg.max(initial=0.0)
+            scaled = deg / max_deg if max_deg > 0 else np.zeros_like(deg)
+            self.slots.append(slot)
+            self.member_stats.append(np.column_stack((scaled, deg, counts[parent])))
 
     @property
     def levels(self) -> int:
@@ -220,15 +243,9 @@ def multilevel_partition(g: Graph, p: int) -> PartitionMap:
 
 def invert_map(parent: np.ndarray, n_super: int) -> list:
     """Supernode -> sorted member list for one level transition."""
-    out = [[] for _ in range(n_super)]
-    for v, s in enumerate(parent):
-        if not 0 <= s < n_super:
-            raise PartitionError(f"parent id {s} out of range")
-        out[int(s)].append(int(v))
-    for s, members in enumerate(out):
-        if not members:
-            raise PartitionError(f"supernode {s} has no members")
-    return out
+    parent = np.asarray(parent, dtype=np.int64)
+    table, counts = member_table(parent, parent.size, n_super)
+    return [row[:c] for row, c in zip(table.tolist(), counts.tolist())]
 
 
 def brute_force_matching(g: Graph) -> Matching:

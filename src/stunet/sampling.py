@@ -7,7 +7,8 @@ nodes and (v+v)/2 is exact in binary floating point; a one-shot mean over
 four equal values is not). Unpooling lifts coarse signals back level by
 level with one of three strategies: plain copy, a learned per-slot linear
 (slot order given by finer-graph degree), or the slot output concatenated
-with member structure statistics and linearly mixed.
+with member structure statistics and linearly mixed. The slots and the
+statistics are built once, with the partition map.
 """
 
 from __future__ import annotations
@@ -94,36 +95,6 @@ def st_pool_spatial(seq: Tensor, pm: PartitionMap, mode: str, from_level: int = 
     return g_pooling(seq, pm, mode, from_level, to_level)
 
 
-def _slot_assignment(pm: PartitionMap, level: int) -> np.ndarray:
-    """Slot of each finer node within its supernode.
-
-    Members are ranked by finer-graph weighted degree, heaviest first, ties to
-    the lower node id.
-    """
-    deg = pm.graphs[level].degrees()
-    slot = np.zeros(pm.graphs[level].n, dtype=np.int64)
-    for members in pm.members(level):
-        ranked = sorted(members, key=lambda v: (-deg[v], v))
-        for r, v in enumerate(ranked):
-            slot[v] = r
-    return slot
-
-
-def _member_stats(pm: PartitionMap, level: int) -> np.ndarray:
-    """Per-finer-node structure vector: degree over the level's max degree,
-    raw incident-weight sum, and member count of its supernode."""
-    deg = pm.graphs[level].degrees()
-    max_deg = deg.max(initial=0.0)
-    n = pm.graphs[level].n
-    stats = np.zeros((n, STRUCT_FEATURES))
-    for members in pm.members(level):
-        for v in members:
-            stats[v, 0] = deg[v] / max_deg if max_deg > 0 else 0.0
-            stats[v, 1] = deg[v]
-            stats[v, 2] = float(len(members))
-    return stats
-
-
 def unpool_one(x: Tensor, pm: PartitionMap, level: int, strategy: UnpoolStrategy) -> Tensor:
     """Lift one level: node extent graphs[level+1].n up to graphs[level].n."""
     _check_level(pm, level)
@@ -134,7 +105,7 @@ def unpool_one(x: Tensor, pm: PartitionMap, level: int, strategy: UnpoolStrategy
     copied = T.gather_rows(x, parent)
     if strategy.mode == "direct_copy":
         return copied
-    slot = _slot_assignment(pm, level)
+    slot = pm.slots[level]
     lifted = None
     for r, w in enumerate(strategy.slot_w):
         mask = (slot == r).astype(np.float64)[:, None]
@@ -142,7 +113,7 @@ def unpool_one(x: Tensor, pm: PartitionMap, level: int, strategy: UnpoolStrategy
         lifted = term if lifted is None else T.add(lifted, term)
     if strategy.mode == "ordered_deconv":
         return lifted
-    stats = _member_stats(pm, level)
+    stats = pm.member_stats[level]
     wide = np.ascontiguousarray(
         np.broadcast_to(stats, lifted.data.shape[:-1] + (STRUCT_FEATURES,))
     )

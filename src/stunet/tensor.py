@@ -2,8 +2,8 @@
 
 A single module-level tape records every differentiable operation in creation
 order. ``backward`` walks the tape in reverse, accumulating gradients into the
-``grad`` buffer of leaf tensors (parameters). Intermediate tensors receive the
-gradient of the most recent backward pass for inspection.
+``grad`` buffer of leaf tensors (parameters). The gradient of an op output is
+freed as soon as its pullback has run, so op outputs keep ``grad`` as None.
 
 Binary elementwise operations require exactly equal shapes; the only broadcast
 entry points are ``scale`` (scalar factor) and the explicit ``add_bias``.
@@ -15,16 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, UsageError
+from .errors import DimensionError, NumericError, PartitionError, UsageError
 
-_FINITE_CHECKS = True
 _GRAD_ENABLED = True
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf guard applied after every forward operation."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = enabled
 
 
 class Tensor:
@@ -34,7 +27,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise NumericError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
@@ -145,7 +138,7 @@ def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
     Other modules use this hook to define custom differentiable operations.
     """
     data = np.asarray(data, dtype=np.float64)
-    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NumericError("forward operation produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -161,8 +154,8 @@ def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse-accumulate d(loss)/d(tensor) for every tensor feeding the loss.
 
-    Leaf tensors (no tape_id) accumulate into ``grad`` across calls; op outputs
-    get the gradient of this call only.
+    Leaf tensors (no tape_id) accumulate into ``grad`` across calls; op
+    outputs keep no gradient.
     """
     if loss.data.size != 1:
         raise UsageError("backward requires a scalar loss")
@@ -175,7 +168,6 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         node = nodes[idx]
-        node.out.grad = g
         for parent, pg in zip(node.parents, node.pullback(g)):
             if pg is None or not parent.requires_grad:
                 continue
@@ -228,9 +220,14 @@ def mul_const(x: Tensor, const: np.ndarray) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     xd = x.data
-    # overflow-safe: exp of a non-positive argument only
-    t = np.exp(-np.abs(xd))
-    y = np.where(xd >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    # overflow-safe: exp of a non-positive argument only; 1/(1+t) for x >= 0,
+    # t/(1+t) otherwise, as one division
+    t = np.abs(xd)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    y = np.where(xd >= 0, 1.0, t)
+    t += 1.0
+    y /= t
     return apply_op(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -330,18 +327,30 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     return apply_op(np.take(x.data, index, axis=-2), (x,), pull)
 
 
-def _segment_members(segments: np.ndarray, n: int):
-    from .errors import PartitionError
+def member_table(parent, n: int, n_super: int | None = None):
+    """Membership of a parent map over ``n`` nodes, as two arrays.
 
-    segments = np.asarray(segments, dtype=np.int64)
-    if segments.shape != (n,):
-        raise DimensionError(f"segment map length {segments.shape} != node count {n}")
-    n_seg = int(segments.max()) + 1 if n else 0
-    members = [np.flatnonzero(segments == s) for s in range(n_seg)]
-    for s, idx in enumerate(members):
-        if idx.size == 0:
-            raise PartitionError(f"segment {s} is empty")
-    return members
+    ``table`` has shape (supernodes, width) and lists each supernode's members
+    in node order, short rows padded with their own first member; ``counts``
+    holds the member count of each supernode. ``n_super`` defaults to the
+    largest parent id plus one.
+    """
+    parent = np.asarray(parent, dtype=np.int64)
+    if parent.shape != (n,):
+        raise DimensionError(f"segment map length {parent.shape} != node count {n}")
+    if n_super is None:
+        n_super = int(parent.max()) + 1 if n else 0
+    bad = (parent < 0) | (parent >= n_super)
+    if bad.any():
+        raise PartitionError(f"parent id {parent[np.argmax(bad)]} out of range")
+    counts = np.bincount(parent, minlength=n_super)
+    if n_super and counts.min() == 0:
+        raise PartitionError(f"supernode {np.argmin(counts)} has no members")
+    order = np.argsort(parent, kind="stable")
+    starts = np.cumsum(counts) - counts
+    table = np.repeat(order[starts, None], counts.max(initial=0), axis=1)
+    table[parent[order], np.arange(n) - np.repeat(starts, counts)] = order
+    return table, counts
 
 
 def segment_reduce(x: Tensor, segments: np.ndarray, mode: str) -> Tensor:
@@ -352,31 +361,38 @@ def segment_reduce(x: Tensor, segments: np.ndarray, mode: str) -> Tensor:
     """
     if mode not in ("max", "mean"):
         raise UsageError(f"unknown segment_reduce mode {mode!r}")
-    n = x.data.shape[-2]
-    members = _segment_members(segments, n)
     xd = x.data
+    segments = np.asarray(segments, dtype=np.int64)
+    table, counts = member_table(segments, xd.shape[-2])
+    # fold members in node order, one slot rank at a time, onto the identity
+    # (+0.0 for the sum, -inf for the max) with the operand order np.mean and
+    # np.max use; padding folds in as the identity, which leaves every bit
+    # (a sum started at +0.0 is never -0.0)
+    fold, identity = (np.add, 0.0) if mode == "mean" else (np.maximum, -np.inf)
+    out = fold(identity, np.take(xd, table[:, 0], axis=-2))
+    for r in range(1, table.shape[1]):
+        column = np.take(xd, table[:, r], axis=-2)
+        column[..., counts <= r, :] = identity
+        fold(out, column, out=out)
     if mode == "mean":
-        out = np.stack([xd[..., idx, :].mean(axis=-2) for idx in members], axis=-2)
+        out /= counts[:, None]
 
         def pull(g):
-            z = np.zeros_like(xd)
-            for s, idx in enumerate(members):
-                z[..., idx, :] += g[..., s : s + 1, :] / idx.size
-            return (z,)
+            return (np.take(g / counts[:, None], segments, axis=-2),)
 
     else:
-        out = np.stack([xd[..., idx, :].max(axis=-2) for idx in members], axis=-2)
 
         def pull(g):
+            # a later slot wins only on a strict gain, so the first attaining
+            # member keeps the gradient; padding repeats member 0, never a gain
+            best = np.take(xd, table[:, 0], axis=-2)
+            winner = np.broadcast_to(table[:, :1], best.shape)
+            for r in range(1, table.shape[1]):
+                column = np.take(xd, table[:, r], axis=-2)
+                winner = np.where(column > best, table[:, r : r + 1], winner)
+                best = np.maximum(best, column)
             z = np.zeros_like(xd)
-            for s, idx in enumerate(members):
-                sub = xd[..., idx, :]
-                am = np.argmax(sub, axis=-2)  # first occurrence = lowest node id
-                block = np.zeros_like(sub)
-                np.put_along_axis(
-                    block, am[..., None, :], g[..., s : s + 1, :], axis=-2
-                )
-                z[..., idx, :] += block
+            np.put_along_axis(z, winner, g, axis=-2)
             return (z,)
 
     return apply_op(out, (x,), pull)

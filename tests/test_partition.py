@@ -9,6 +9,7 @@ from stunet.graph import Graph
 from stunet.partition import (
     Matching,
     PartitionMap,
+    _grow_paths,
     brute_force_matching,
     coarsen,
     invert_map,
@@ -196,3 +197,107 @@ def test_single_node_graph_has_empty_matching():
     assert m.pairs == []
     coarse, parent = coarsen(g, m)
     assert coarse.n == 1 and list(parent) == [0]
+
+
+def _grow_paths_oracle(g):
+    """Dense reference: zero the departed vertex's row and column."""
+    w = g.weights.copy()
+    paths = []
+    for start in range(g.n):
+        if w[start].max(initial=0.0) <= 0:
+            continue
+        path = []
+        v = start
+        while w[v].max(initial=0.0) > 0:
+            nbrs = np.nonzero(w[v] > 0)[0]
+            best = nbrs[np.argmax(w[v, nbrs])]
+            path.append((int(v), int(best), float(w[v, best])))
+            w[v, :] = 0.0
+            w[:, v] = 0.0
+            v = best
+        w[v, :] = 0.0
+        w[:, v] = 0.0
+        paths.append(path)
+    return paths
+
+
+def _coarsen_oracle(g, matching):
+    """Group and edge loop reference for coarsen."""
+    matched = matching.matched_nodes()
+    groups = list(matching.pairs) + [(v,) for v in range(g.n) if v not in matched]
+    groups.sort(key=min)
+    parent = np.empty(g.n, dtype=np.int64)
+    for s, grp in enumerate(groups):
+        for v in grp:
+            parent[v] = s
+    w = np.zeros((len(groups), len(groups)))
+    for i, j, wt in g.edges():
+        a, b = parent[i], parent[j]
+        if a != b:
+            w[a, b] += wt
+            w[b, a] += wt
+    return w, parent
+
+
+def _invert_map_oracle(parent, n_super):
+    out = [[] for _ in range(n_super)]
+    for v, s in enumerate(parent):
+        out[int(s)].append(int(v))
+    return out
+
+
+def _slot_oracle(pm, level):
+    deg = pm.graphs[level].degrees()
+    slot = np.zeros(pm.graphs[level].n, dtype=np.int64)
+    for members in pm.members(level):
+        for r, v in enumerate(sorted(members, key=lambda v: (-deg[v], v))):
+            slot[v] = r
+    return slot
+
+
+def _member_stats_oracle(pm, level):
+    deg = pm.graphs[level].degrees()
+    max_deg = deg.max(initial=0.0)
+    stats = np.zeros((pm.graphs[level].n, 3))
+    for members in pm.members(level):
+        for v in members:
+            stats[v, 0] = deg[v] / max_deg if max_deg > 0 else 0.0
+            stats[v, 1] = deg[v]
+            stats[v, 2] = float(len(members))
+    return stats
+
+
+def _weighted_graphs():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n = int(rng.integers(2, 30))
+        w = np.triu(rng.uniform(0.1, 5.0, size=(n, n)), 1)
+        w *= rng.random((n, n)) < rng.uniform(0.1, 0.8)
+        if trial % 2:
+            w = np.ceil(w)  # integer weights: ties in paths, leftovers and degrees
+        yield Graph(w + w.T)
+
+
+def test_partition_build_matches_loop_references():
+    for g in _weighted_graphs():
+        cur = g
+        for _ in range(3):
+            assert _grow_paths(cur) == _grow_paths_oracle(cur)
+            m = path_grow_select(cur)
+            coarse, parent = coarsen(cur, m)
+            want_w, want_parent = _coarsen_oracle(cur, m)
+            assert parent.tobytes() == want_parent.tobytes()
+            assert coarse.weights.tobytes() == want_w.tobytes()
+            cur = coarse
+
+
+def test_partition_constants_match_loop_references():
+    for g in _weighted_graphs():
+        pm = multilevel_partition(g, 3)
+        for level in range(pm.levels):
+            slot = pm.slots[level]
+            stats = pm.member_stats[level]
+            assert slot.tobytes() == _slot_oracle(pm, level).tobytes()
+            assert stats.tobytes() == _member_stats_oracle(pm, level).tobytes()
+            n_super = pm.graphs[level + 1].n
+            assert pm.members(level) == _invert_map_oracle(pm.parents[level], n_super)

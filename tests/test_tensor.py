@@ -5,7 +5,7 @@ import pytest
 
 from conftest import check_gradients, leaf
 from stunet import tensor as T
-from stunet.errors import DimensionError, NumericError, UsageError
+from stunet.errors import DimensionError, NumericError, PartitionError, UsageError
 from stunet.tensor import AdamState, Tensor, adam_step, clip_global_norm
 
 
@@ -254,3 +254,91 @@ def test_clip_global_norm_scales_and_passes_through():
     small = [np.array([0.1]), np.array([0.2])]
     kept = clip_global_norm(small, 5.0)
     assert np.array_equal(kept[0], small[0]) and np.array_equal(kept[1], small[1])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_backward_keeps_no_op_output_gradient():
+    a = leaf([0.3, -1.2])
+    b = leaf([2.0, 0.5])
+    h = T.tanh(T.hadamard(a, b))
+    T.backward(T._reduce_sum(h))
+    assert h.grad is None
+    d = 1.0 - np.tanh(a.data * b.data) ** 2
+    assert _same_bits(a.grad, d * b.data)
+    assert _same_bits(b.grad, d * a.data)
+
+
+def test_sigmoid_matches_two_branch_formula_bit_for_bit():
+    rng = np.random.default_rng(21)
+    extremes = [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, -745.2]
+    xd = np.concatenate([rng.normal(scale=8.0, size=4000), extremes])
+    t = np.exp(-np.abs(xd))
+    want = np.where(xd >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    assert _same_bits(T.sigmoid(Tensor(xd)).data, want)
+
+
+def test_member_table_pads_rows_with_first_member():
+    table, counts = T.member_table(np.array([2, 0, 1, 0, 2, 3, 0]), 7)
+    assert table.tolist() == [[1, 3, 6], [2, 2, 2], [0, 4, 0], [5, 5, 5]]
+    assert counts.tolist() == [3, 1, 2, 1]
+
+
+def test_member_table_rejects_bad_maps():
+    with pytest.raises(DimensionError):
+        T.member_table(np.array([0, 1]), 3)
+    with pytest.raises(PartitionError):
+        T.member_table(np.array([0, 2]), 2, n_super=2)
+    with pytest.raises(PartitionError):
+        T.member_table(np.array([0, -1]), 2)
+    with pytest.raises(PartitionError):
+        T.member_table(np.array([0, 2]), 2)  # supernode 1 is empty
+    with pytest.raises(DimensionError):
+        T.segment_reduce(Tensor(np.zeros((3, 1))), np.array([0, 1]), "max")
+
+
+def _segment_reduce_oracle(xd, segments, mode, g):
+    """Per-segment loop reference: (forward value, pullback of g)."""
+    n_seg = int(segments.max()) + 1
+    members = [np.flatnonzero(segments == s) for s in range(n_seg)]
+    z = np.zeros_like(xd)
+    if mode == "mean":
+        out = np.stack([xd[..., idx, :].mean(axis=-2) for idx in members], axis=-2)
+        for s, idx in enumerate(members):
+            z[..., idx, :] += g[..., s : s + 1, :] / idx.size
+        return out, z
+    out = np.stack([xd[..., idx, :].max(axis=-2) for idx in members], axis=-2)
+    for s, idx in enumerate(members):
+        sub = xd[..., idx, :]
+        am = np.argmax(sub, axis=-2)
+        block = np.zeros_like(sub)
+        np.put_along_axis(block, am[..., None, :], g[..., s : s + 1, :], axis=-2)
+        z[..., idx, :] += block
+    return out, z
+
+
+@pytest.mark.parametrize("mode", ["mean", "max"])
+def test_segment_reduce_matches_loop_reference(mode):
+    rng = np.random.default_rng(22)
+    # unequal segments up to width 3, with singletons
+    for segments in (
+        np.array([2, 0, 1, 0, 2, 3, 0, 1, 4]),
+        np.array([0, 1, 2, 3]),
+        rng.permutation(np.repeat(np.arange(12), rng.integers(1, 4, size=12))),
+    ):
+        n = segments.size
+        for shape in ((n, 3), (2, 3, n, 4), (n, 1)):
+            # few distinct values, so max has ties; signed zeros included
+            xd = rng.integers(-2, 3, size=shape) * 0.5
+            xd[xd == 0] *= rng.choice([-1.0, 1.0], size=int((xd == 0).sum()))
+            T.reset_tape()
+            x = Tensor(xd, requires_grad=True)
+            y = T.segment_reduce(x, segments, mode)
+            g = rng.normal(size=y.shape)
+            T.backward(T._reduce_sum(T.mul_const(y, g)))
+            want_out, want_grad = _segment_reduce_oracle(xd, segments, mode, g)
+            assert _same_bits(y.data, want_out)
+            assert _same_bits(x.grad, want_grad)
