@@ -76,9 +76,6 @@ class Graph:
         """Weighted degree per node."""
         return self.weights.sum(axis=1)
 
-    def total_weight(self) -> float:
-        return float(self.weights.sum()) / 2.0
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={len(self.edges())})"
 
@@ -192,21 +189,16 @@ def _ell_operator(m: np.ndarray):
     return idx, wts
 
 
-def normalized_laplacian(g: Graph, lambda_max: float | None = None) -> GraphLaplacian:
+def normalized_laplacian(g: Graph) -> GraphLaplacian:
     """L = I - D^{-1/2} W D^{-1/2}; zero-degree nodes yield identity rows.
-
-    lambda_max=None computes the largest eigenvalue exactly; passing a number
-    (commonly 2.0) forces that value instead.
-    """
+    The largest eigenvalue is computed exactly."""
     deg = g.degrees()
     inv_sqrt = np.zeros_like(deg)
     pos = deg > 0
     inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
     lap = np.eye(g.n) - (inv_sqrt[:, None] * g.weights) * inv_sqrt[None, :]
     lap = 0.5 * (lap + lap.T)  # kill rounding asymmetry
-    if lambda_max is None:
-        lambda_max = estimate_lambda_max(lap)
-    return GraphLaplacian(lap, float(lambda_max))
+    return GraphLaplacian(lap, estimate_lambda_max(lap))
 
 
 def estimate_lambda_max(lap: np.ndarray) -> float:

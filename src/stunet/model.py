@@ -259,9 +259,7 @@ class STUNet:
                 f"(N={self.graph.n}, D_in={cfg.d_in})"
             )
         stages = len(cfg.hidden_sizes)
-        dilations = [1] * stages if cfg.is_plain_stack else [
-            cfg.s ** k for k in range(stages)
-        ]
+        dilations = [cfg.s ** k for k in range(stages)]
         enc_outs, enc_finals = encode(
             self.enc_layers,
             [self._lap_at_stage(k) for k in range(stages)],

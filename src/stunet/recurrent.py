@@ -3,9 +3,12 @@
 The cell is a GRU whose input and hidden transforms are Chebyshev graph
 convolutions. A dilated layer advances the hidden state from step t-s to
 step t, so one layer with dilation s maintains s interleaved recurrence
-chains. Encoding runs a stack of such layers with optional spatial pooling
-between them; decoding rolls a cell forward step by step, feeding back its
-own predictions (or, during training, the ground truth with the scheduled
+chains. The layer runs them side by side: it walks the sequence in blocks of
+s consecutive steps, which hold one step of every chain on the leading axis,
+and one cell step advances a whole block from the previous block's output.
+Encoding runs a stack of such layers with optional spatial pooling between
+them; decoding rolls a cell forward step by step, feeding back its own
+predictions (or, during training, the ground truth with the scheduled
 sampling probability).
 """
 
@@ -178,7 +181,10 @@ def dilated_layer_forward(
     """Run one layer over a stacked sequence (leading axis = time).
 
     The state consumed at step t is the output of step t-s; steps with
-    t-s < 0 start from the zero state. s=1 is a plain recurrent scan.
+    t-s < 0 start from the zero state. Steps are taken in blocks of s, so
+    block b is steps b*s .. b*s+s-1 and its previous-state block is the output
+    of block b-1, row for row. A short last block (s not dividing the length)
+    takes the first rows of that output. s=1 is a plain recurrent scan.
     """
     if s < 1:
         raise UsageError("dilation must be >= 1")
@@ -186,18 +192,16 @@ def dilated_layer_forward(
     if steps < 1:
         raise DimensionError("empty input sequence")
     cell = FoldedCell(w)
-    zero = None
-    outputs = []
-    for t in range(steps):
-        x_t = T.select_step(inputs, t)
-        if t - s >= 0:
-            h_prev = outputs[t - s]
-        else:
-            if zero is None:
-                zero = cell.zero_state(x_t)
-            h_prev = zero
-        outputs.append(cell.step(lap, x_t, h_prev))
-    return T.stack_steps(outputs)
+    blocks = []
+    for lo in range(0, steps, s):
+        x = T.select_step(inputs, slice(lo, lo + s))
+        if not blocks:
+            h = cell.zero_state(x)
+        elif x.data.shape[0] < s:
+            h = T.select_step(h, slice(0, x.data.shape[0]))
+        h = cell.step(lap, x, h)
+        blocks.append(h)
+    return T.concat_steps(blocks)
 
 
 def encode(

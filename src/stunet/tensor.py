@@ -159,11 +159,12 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise UsageError("backward requires a scalar loss")
-    if loss.tape_id is None:
-        raise UsageError("loss is not recorded on the active tape")
     nodes = _TAPE.nodes
-    buffers: dict[int, np.ndarray] = {loss.tape_id: np.ones_like(loss.data)}
-    for idx in range(loss.tape_id, -1, -1):
+    tid = loss.tape_id
+    if tid is None or tid >= len(nodes) or nodes[tid].out is not loss:
+        raise UsageError("loss is not recorded on the active tape")
+    buffers: dict[int, np.ndarray] = {tid: np.ones_like(loss.data)}
+    for idx in range(tid, -1, -1):
         g = buffers.pop(idx, None)
         if g is None:
             continue
@@ -236,15 +237,6 @@ def tanh(x: Tensor) -> Tensor:
     return apply_op(y, (x,), lambda g: (g * (1.0 - y * y),))
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, (gs, s) in enumerate(zip(g.shape, shape)):
-        if s == 1 and gs != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def _flat_matmul(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     """ad (..., m, k) @ bd (k, n) as one flattened product."""
     lead = ad.shape[:-1]
@@ -252,31 +244,25 @@ def _flat_matmul(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError("matmul requires rank >= 2 operands")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    """Product of ``a`` (..., m, k) with the matrix ``b`` (k, n), computed as
+    one product over the flattened leading axes of ``a``."""
+    if a.data.ndim < 2 or b.data.ndim != 2:
         raise DimensionError(
-            f"matmul: inner extents {a.data.shape[-1]} and {b.data.shape[-2]} differ"
+            f"matmul needs a rank >= 2 left and a rank-2 right operand, got "
+            f"ranks {a.data.ndim} and {b.data.ndim}"
+        )
+    if a.data.shape[-1] != b.data.shape[0]:
+        raise DimensionError(
+            f"matmul: inner extents {a.data.shape[-1]} and {b.data.shape[0]} differ"
         )
     ad, bd = a.data, b.data
 
-    if bd.ndim == 2 and ad.ndim > 2:
-        # batched rows against one weight matrix: a single flattened product
-        # avoids looping tiny per-batch GEMMs
-        def pull(g):
-            ga = _flat_matmul(g, bd.T)
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return ga, gb
-
-        return apply_op(_flat_matmul(ad, bd), (a, b), pull)
-
     def pull(g):
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
+        ga = _flat_matmul(g, bd.T)
+        gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return ga, gb
 
-    return apply_op(ad @ bd, (a, b), pull)
+    return apply_op(_flat_matmul(ad, bd), (a, b), pull)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -291,9 +277,11 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(out, (a, b), lambda g: (g[..., :c1], g[..., c1:]))
 
 
-def select_step(x: Tensor, t: int) -> Tensor:
-    """Pick index ``t`` along the leading axis (a single time step)."""
-    if x.data.ndim < 1 or not 0 <= t < x.data.shape[0]:
+def select_step(x: Tensor, t: int | slice) -> Tensor:
+    """Pick index ``t`` (one time step) or the slice ``t`` (a block of steps)
+    along the leading axis."""
+    n = x.data.shape[0] if x.data.ndim else 0
+    if not (len(range(n)[t]) if isinstance(t, slice) else 0 <= t < n):
         raise DimensionError(f"select_step: index {t} out of range")
 
     def pull(g):
@@ -310,6 +298,15 @@ def stack_steps(steps: list[Tensor]) -> Tensor:
         raise UsageError("stack_steps needs at least one step")
     out = np.stack([s.data for s in steps], axis=0)
     return apply_op(out, tuple(steps), lambda g: tuple(g[i] for i in range(len(steps))))
+
+
+def concat_steps(blocks: list[Tensor]) -> Tensor:
+    """Join blocks of steps end to end along the leading (time) axis."""
+    if len({b.data.shape[1:] for b in blocks}) != 1:
+        raise DimensionError("concat_steps needs blocks with equal trailing extents")
+    ends = np.cumsum([b.data.shape[0] for b in blocks])[:-1]
+    out = np.concatenate([b.data for b in blocks], axis=0)
+    return apply_op(out, tuple(blocks), lambda g: tuple(np.split(g, ends)))
 
 
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
@@ -459,11 +456,6 @@ def _abs(x: Tensor) -> Tensor:
     return apply_op(np.abs(x.data), (x,), lambda g: (g * sign,))
 
 
-def glorot_init(shape: tuple[int, ...], seed: int) -> Tensor:
-    """Uniform init in +-sqrt(6/(fan_in+fan_out)), deterministic per seed."""
-    return glorot_from(np.random.default_rng(seed), shape)
-
-
 def glorot_from(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
     """Glorot-uniform draw consuming the given generator stream.
 
@@ -472,7 +464,7 @@ def glorot_from(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
     """
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
-        raise UsageError(f"glorot_init: non-positive extent in {shape}")
+        raise UsageError(f"glorot_from: non-positive extent in {shape}")
     if len(shape) == 1:
         fan_in = fan_out = shape[0]
     elif len(shape) == 2:
@@ -481,7 +473,7 @@ def glorot_from(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
         k, c_out, c_in = shape
         fan_in, fan_out = k * c_in, k * c_out
     else:
-        raise UsageError(f"glorot_init: unsupported rank {len(shape)}")
+        raise UsageError(f"glorot_from: unsupported rank {len(shape)}")
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     data = rng.uniform(-bound, bound, size=shape)
     return Tensor(data, requires_grad=True)

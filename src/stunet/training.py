@@ -91,10 +91,8 @@ def predict_windows(model: STUNet, inputs: np.ndarray, batch_size: int = 50) -> 
     with T.no_grad():
         for lo in range(0, inputs.shape[0], batch_size):
             xb = _to_time_major(inputs[lo : lo + batch_size])
-            T.reset_tape()
             pred = model.forward(Tensor(xb))
             chunks.append(np.transpose(pred.data, (1, 0, 2, 3)))
-    T.reset_tape()
     return np.concatenate(chunks, axis=0)
 
 
@@ -106,10 +104,8 @@ def dataset_loss(model: STUNet, inputs: np.ndarray, targets: np.ndarray,
         for lo in range(0, inputs.shape[0], batch_size):
             xb = _to_time_major(inputs[lo : lo + batch_size])
             yb = _to_time_major(targets[lo : lo + batch_size])
-            T.reset_tape()
             val = loss(model.forward(Tensor(xb)), Tensor(yb)).item()
             total += val * xb.shape[1]
-    T.reset_tape()
     return total / inputs.shape[0]
 
 

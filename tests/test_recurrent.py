@@ -7,6 +7,7 @@ import pytest
 
 from conftest import check_gradients, leaf, path_graph, random_graph
 from stunet import tensor as T
+from stunet.data import knn_grid_graph
 from stunet.errors import DimensionError, ModelError, UsageError
 from stunet.graph import ChebKernel, normalized_laplacian
 from stunet.recurrent import (
@@ -257,3 +258,57 @@ def test_cell_gradients():
         return T._reduce_mean(T.hadamard(seq, seq))
 
     check_gradients(build, w.params() + [x], rel_tol=1e-5, max_checks=3)
+
+
+def _per_step_layer(w, lap, inputs, s):
+    """Reference dilated layer: one cell step per time step, reading the
+    output of step t-s (the zero state before step s)."""
+    zero = Tensor(np.zeros(inputs.shape[1:-1] + (w.d_h,)))
+    outputs = []
+    for t in range(inputs.shape[0]):
+        h_prev = outputs[t - s] if t - s >= 0 else zero
+        outputs.append(gcgru_cell(w, lap, T.select_step(inputs, t), h_prev))
+    return T.stack_steps(outputs)
+
+
+@pytest.mark.parametrize("operator", ["dense", "ell"])
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_block_scan_matches_per_step_loop(operator, batch):
+    g = path_graph(6) if operator == "dense" else knn_grid_graph(10, 10)
+    lap = normalized_laplacian(g)
+    assert (lap.ell is None) == (operator == "dense")
+    w = make_weights(11, layer_norm=True)
+    rng = np.random.default_rng(12)
+    for s in (1, 2, 3, 4):
+        for j in range(1, 14):
+            x = Tensor(rng.normal(size=(j,) + batch + (g.n, 2)), requires_grad=True)
+            leaves = [x] + w.params()
+            runs = []
+            for layer in (dilated_layer_forward, _per_step_layer):
+                T.reset_tape()
+                y = layer(w, lap, x, s)
+                T.backward(T._reduce_sum(T.tanh(y)))
+                runs.append((y.data, [p.grad_array() for p in leaves]))
+                for p in leaves:
+                    p.zero_grad()
+            (y_scan, g_scan), (y_ref, g_ref) = runs
+            assert np.array_equal(y_scan, y_ref), (s, j)
+            for a, b in zip(g_scan, g_ref):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (s, j)
+
+
+def test_block_scan_steps_once_per_block(monkeypatch):
+    calls = []
+    step = FoldedCell.step
+    monkeypatch.setattr(
+        FoldedCell, "step", lambda self, *a: calls.append(1) or step(self, *a)
+    )
+    lap = normalized_laplacian(path_graph(4))
+    w = make_weights(13)
+    rng = np.random.default_rng(14)
+    with T.no_grad():
+        for s in (1, 2, 3, 4):
+            for j in range(1, 14):
+                calls.clear()
+                dilated_layer_forward(w, lap, Tensor(rng.normal(size=(j, 4, 2))), s)
+                assert len(calls) == math.ceil(j / s)

@@ -342,3 +342,49 @@ def test_segment_reduce_matches_loop_reference(mode):
             want_out, want_grad = _segment_reduce_oracle(xd, segments, mode, g)
             assert _same_bits(y.data, want_out)
             assert _same_bits(x.grad, want_grad)
+
+
+def test_matmul_rejects_non_matrix_right_operand():
+    a = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        T.matmul(a, Tensor(np.ones((2, 4, 5))))
+    with pytest.raises(DimensionError):
+        T.matmul(a, Tensor(np.ones(4)))
+    with pytest.raises(DimensionError):
+        T.matmul(a, Tensor(np.ones((3, 5))))
+
+
+def test_backward_rejects_a_loss_missing_from_the_tape():
+    x = leaf((3,), seed=1)
+    stale = T._reduce_sum(T.tanh(x))
+    T.reset_tape()
+    with pytest.raises(UsageError):
+        T.backward(stale)
+    # a later recording reuses the stale loss's tape slot for another tensor
+    T._reduce_sum(T.tanh(x))
+    with pytest.raises(UsageError):
+        T.backward(stale)
+    assert x.grad is None
+
+
+def test_select_step_slices_and_concat_steps_rejoin_blocks():
+    x = np.arange(30.0).reshape(5, 3, 2)
+    t = Tensor(x)
+    blocks = [T.select_step(t, slice(lo, lo + 2)) for lo in range(0, 5, 2)]
+    assert [b.shape[0] for b in blocks] == [2, 2, 1]
+    assert np.array_equal(T.concat_steps(blocks).data, x)
+    with pytest.raises(DimensionError):
+        T.select_step(t, slice(5, 7))
+    with pytest.raises(DimensionError):
+        T.concat_steps([blocks[0], T.select_step(Tensor(np.ones((2, 3, 1))), slice(0, 1))])
+    with pytest.raises(DimensionError):
+        T.concat_steps([])
+
+    v = leaf((5, 3, 2), seed=8)
+    check_gradients(
+        lambda: T._reduce_sum(T.tanh(T.concat_steps(
+            [T.select_step(v, slice(3, 5)), T.select_step(v, slice(0, 2))]
+        ))),
+        [v],
+        rel_tol=1e-6,
+    )

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from stunet import tensor as T
 from stunet.data import knn_grid_graph, synth_diffusion
 from stunet.errors import UsageError
-from stunet.model import STUNetConfig, build
+from stunet.model import STUNetConfig, build, loss
+from stunet.tensor import Tensor
 from stunet.training import (
     RunConfig,
     dataset_loss,
@@ -115,3 +117,31 @@ def test_config_hash_tracks_settings():
     c = tiny_run(epochs=9).config_hash()
     assert a == b and a != c
     assert len(a) == 16
+
+
+def test_evaluation_calls_keep_a_recorded_tape():
+    ds = tiny_data()
+    rc = tiny_run()
+    model = build(rc.model, ds.graph)
+    rng = np.random.default_rng(1)
+    windows = rng.normal(size=(3, 6, 8, 1))
+    targets = rng.normal(size=(3, 2, 8, 1))
+    xb = Tensor(np.transpose(windows, (1, 0, 2, 3)))
+    yb = Tensor(np.transpose(targets, (1, 0, 2, 3)))
+    params = model.trainable_params()
+
+    def grads_after(evaluate):
+        T.reset_tape()
+        out = loss(model.forward(xb), yb)
+        evaluate()
+        T.backward(out)
+        grads = [p.grad_array() for p in params]
+        for p in params:
+            p.zero_grad()
+        return grads
+
+    plain = grads_after(lambda: None)
+    interleaved = grads_after(lambda: (
+        predict_windows(model, windows), dataset_loss(model, windows, targets)
+    ))
+    assert all(np.array_equal(a, b) for a, b in zip(plain, interleaved))
