@@ -39,14 +39,7 @@ from .data import (
     synth_diffusion,
     write_manifest,
 )
-from .errors import StunetError, UsageError
-from .evaluate import (
-    evaluate_model,
-    provenance_lines,
-    run_ablation,
-    run_upsampling_comparison,
-    write_report_files,
-)
+from .errors import DataError, StunetError, UsageError
 from .model import STUNetConfig, load_checkpoint, save_checkpoint, variant
 from .partition import multilevel_partition
 from .training import RunConfig, train_model, write_history
@@ -192,12 +185,6 @@ def _out_dir(rc: RunConfig) -> str:
     return rc.out_dir or "."
 
 
-def _seed_list(extras: dict, default) -> tuple:
-    if "seeds" in extras:
-        return _parse_int_tuple(extras["seeds"], "seeds")
-    return default
-
-
 def cmd_train(args) -> int:
     rc, extras = run_config_from_mapping(_mapping_from_args(args))
     rc.model = variant(rc.model, rc.variant)
@@ -216,6 +203,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluate import evaluate_model, provenance_lines, write_report_files
+
     rc, extras = run_config_from_mapping(_mapping_from_args(args))
     ckpt = _require(rc.ckpt_path, "checkpoint path (--ckpt or ckpt_path=)")
     ds = _load_dataset(rc, extras)
@@ -243,13 +232,11 @@ def cmd_predict(args) -> int:
         )
     mean = model.norm_mean.data
     std = model.norm_std.data
-    from .training import predict_windows
+    from .training import predict_windows  # a call-time lookup, so a tracer can wrap it
 
     pred = predict_windows(model, ((window - mean) / std)[None])[0] * std + mean
     out_path = args.out or "forecast.csv"
-    parent = os.path.dirname(out_path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     save_series(out_path, pred)
     print(f"forecast ({pred.shape[0]} steps x {g.n} nodes) written to {out_path}")
     return 0
@@ -260,9 +247,7 @@ def cmd_partition(args) -> int:
     g = load_adjacency(adj, args.adj_format)
     pm = multilevel_partition(g, args.level)
     out_path = args.out or "partition.txt"
-    parent = os.path.dirname(out_path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(pm.to_text())
     for level, graph in enumerate(pm.graphs):
@@ -284,14 +269,15 @@ def cmd_synth(args) -> int:
     }
     if args.manifest:
         stored = read_manifest(args.manifest)
-        params["rows"] = int(stored["rows"])
-        params["cols"] = int(stored["cols"])
-        params["t"] = int(stored["t"])
-        params["alpha"] = float(stored["alpha"])
-        params["noise_sigma"] = float(stored["noise_sigma"])
-        params["seed"] = int(stored["seed"])
-        params["mode"] = stored["mode"]
-        params["interval_minutes"] = float(stored["interval_minutes"])
+        for key, default in params.items():  # each keeps its option's type
+            if key not in stored:
+                raise DataError(f"{args.manifest}: manifest has no {key!r}")
+            try:
+                params[key] = type(default)(stored[key])
+            except ValueError:
+                raise DataError(
+                    f"{args.manifest}: manifest field {key!r} has bad value {stored[key]!r}"
+                ) from None
     g = knn_grid_graph(params["rows"], params["cols"])
     ds = synth_diffusion(
         g,
@@ -314,32 +300,31 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_ablation(args) -> int:
+def _write_comparison(args, runner, report: str) -> int:
+    """Train and compare models with an ``evaluate`` runner; write its report."""
+    from .evaluate import write_report_files
+
     rc, extras = run_config_from_mapping(_mapping_from_args(args))
     rc.validate()
     ds = _load_dataset(rc, extras)
-    seeds = _seed_list(extras, None)
-    table = run_ablation(rc, ds, seeds)
-    paths = write_report_files(
-        _out_dir(rc), "ablation", table.render_text(), table.render_csv()
-    )
+    seeds = _parse_int_tuple(extras["seeds"], "seeds") if "seeds" in extras else None
+    table = runner(rc, ds, seeds)
+    paths = write_report_files(_out_dir(rc), report, table.render_text(), table.render_csv())
     print(table.render_text(), end="")
     print(f"report written to {paths[0]} and {paths[1]}")
     return 0
+
+
+def cmd_ablation(args) -> int:
+    from .evaluate import run_ablation
+
+    return _write_comparison(args, run_ablation, "ablation")
 
 
 def cmd_upsample_compare(args) -> int:
-    rc, extras = run_config_from_mapping(_mapping_from_args(args))
-    rc.validate()
-    ds = _load_dataset(rc, extras)
-    seeds = _seed_list(extras, (rc.seed,))
-    table = run_upsampling_comparison(rc, ds, seeds)
-    paths = write_report_files(
-        _out_dir(rc), "upsample_compare", table.render_text(), table.render_csv()
-    )
-    print(table.render_text(), end="")
-    print(f"report written to {paths[0]} and {paths[1]}")
-    return 0
+    from .evaluate import run_upsampling_comparison
+
+    return _write_comparison(args, run_upsampling_comparison, "upsample_compare")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -219,39 +219,36 @@ def load_adjacency(
         np.fill_diagonal(w, 0.0)
         return Graph(w)
     if fmt in ("edge_list", "distance_gaussian"):
-        triples = []
+        edges = []
         n = 0
         for lineno, line in lines:
             toks = [t.strip() for t in line.split(",")]
             if len(toks) != 3:
                 raise DataError(f"{path}:{lineno}: expected `i,j,value`")
-            if not triples and not (
+            if not n and not (
                 toks[0].lstrip("-").isdigit() and toks[1].lstrip("-").isdigit()
             ):
                 continue  # header line
-            i, j = int(toks[0]), int(toks[1])
+            try:
+                i, j = int(toks[0]), int(toks[1])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad node id in {line!r}") from None
             v = _parse_float(toks[2], path, lineno)
             if i < 0 or j < 0:
                 raise DataError(f"{path}:{lineno}: negative node id")
             if v < 0:
                 raise DataError(f"{path}:{lineno}: negative weight/distance")
-            triples.append((i, j, v))
             n = max(n, i + 1, j + 1)
-        if not triples:
-            raise DataError(f"{path}: no edges parsed")
-        w = np.zeros((n, n))
-        for i, j, v in triples:
             if i == j:
                 continue
             if fmt == "distance_gaussian":
-                wt = float(np.exp(-(v * v) / (sigma * sigma)))
-                if wt < eps:
+                v = float(np.exp(-(v * v) / (sigma * sigma)))
+                if v < eps:
                     continue
-            else:
-                wt = v
-            w[i, j] = max(w[i, j], wt)
-            w[j, i] = w[i, j]
-        return Graph(w)
+            edges.append((i, j, v))
+        if not n:
+            raise DataError(f"{path}: no edges parsed")
+        return Graph.from_edges(n, edges)
     raise UsageError(f"unknown adjacency format {fmt!r}")
 
 
@@ -316,17 +313,10 @@ def knn_grid_graph(rows: int, cols: int) -> Graph:
     """Grid of rows x cols nodes, unit edges to the four axis neighbors."""
     if rows < 1 or cols < 1:
         raise UsageError("grid extents must be >= 1")
-    n = rows * cols
-    w = np.zeros((n, n))
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                w[i, i + 1] = w[i + 1, i] = 1.0
-            if r + 1 < rows:
-                j = (r + 1) * cols + c
-                w[i, j] = w[j, i] = 1.0
-    return Graph(w)
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    right, down = ids[:, :-1].ravel().tolist(), ids[:-1].ravel().tolist()
+    edges = [(i, i + 1, 1.0) for i in right] + [(i, i + cols, 1.0) for i in down]
+    return Graph.from_edges(rows * cols, edges)
 
 
 def synth_diffusion(

@@ -352,9 +352,6 @@ class UpsampleTable:
     seeds: tuple
     provenance: list
 
-    def cells_for(self, label) -> list:
-        return [c for c in self.cells if c.label == label]
-
     def _mse_cols(self, report) -> list:
         by_step = {r.step: r for r in report.rows}
         return [by_step[s].mse for s in self.steps]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -89,14 +89,10 @@ class STUNetConfig:
         return len(self.hidden_sizes) - 1
 
     def to_lines(self) -> str:
-        hidden = ",".join(str(int(c)) for c in self.hidden_sizes)
-        fields = [
-            ("k", self.k), ("p", self.p), ("s", self.s), ("hidden_sizes", hidden),
-            ("pool_mode", self.pool_mode), ("unpool_mode", self.unpool_mode),
-            ("layer_norm", int(self.layer_norm)), ("j", self.j), ("h", self.h),
-            ("d_in", self.d_in), ("d_out", self.d_out), ("seed", self.seed),
-        ]
-        return "".join(f"{k}={v}\n" for k, v in fields)
+        return "".join(
+            f"{f.name}={_TO_TEXT.get(type(f.default), str)(getattr(self, f.name))}\n"
+            for f in fields(self)
+        )
 
     @classmethod
     def from_lines(cls, text: str) -> "STUNetConfig":
@@ -109,17 +105,20 @@ class STUNetConfig:
                 raise CheckpointError(f"bad config line {line!r}")
             key, val = line.split("=", 1)
             kv[key] = val
-        try:
-            return cls(
-                k=int(kv["k"]), p=int(kv["p"]), s=int(kv["s"]),
-                hidden_sizes=tuple(int(c) for c in kv["hidden_sizes"].split(",")),
-                pool_mode=kv["pool_mode"], unpool_mode=kv["unpool_mode"],
-                layer_norm=bool(int(kv["layer_norm"])), j=int(kv["j"]),
-                h=int(kv["h"]), d_in=int(kv["d_in"]), d_out=int(kv["d_out"]),
-                seed=int(kv["seed"]),
-            )
-        except KeyError as exc:
-            raise CheckpointError(f"config block missing key {exc}") from exc
+        values = {}
+        for f in fields(cls):
+            if f.name not in kv:
+                raise CheckpointError(f"config block missing key {f.name!r}")
+            try:
+                values[f.name] = _FROM_TEXT.get(type(f.default), type(f.default))(kv[f.name])
+            except ValueError:
+                raise CheckpointError(f"config field {f.name}={kv[f.name]!r} is malformed") from None
+        return cls(**values)
+
+
+# config block text of the field types that str() and the type's own parse do not round-trip
+_TO_TEXT = {tuple: lambda v: ",".join(str(int(c)) for c in v), bool: lambda v: str(int(v))}
+_FROM_TEXT = {tuple: lambda t: tuple(int(c) for c in t.split(",")), bool: lambda t: bool(int(t))}
 
 
 def variant(config: STUNetConfig, which: str) -> STUNetConfig:
@@ -353,7 +352,10 @@ def read_checkpoint_config(path: str) -> STUNetConfig:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         (n,) = struct.unpack("<I", _read_exact(fh, 4))
-        return STUNetConfig.from_lines(_read_exact(fh, n).decode("utf-8"))
+        try:
+            return STUNetConfig.from_lines(_read_exact(fh, n).decode("utf-8"))
+        except (UnicodeDecodeError, CheckpointError) as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
 
 
 def load_checkpoint(path: str, graph: Graph) -> STUNet:
@@ -366,7 +368,7 @@ def load_checkpoint(path: str, graph: Graph) -> STUNet:
         fh.seek(n, 1)
         for name, t in model.params.entries:
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            stored = _read_exact(fh, name_len).decode("utf-8")
+            stored = _read_exact(fh, name_len).decode("utf-8", "replace")
             if stored != name:
                 raise CheckpointError(
                     f"{path}: parameter order mismatch ({stored!r} != {name!r})"

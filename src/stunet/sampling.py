@@ -7,8 +7,10 @@ nodes and (v+v)/2 is exact in binary floating point; a one-shot mean over
 four equal values is not). Unpooling lifts coarse signals back level by
 level with one of three strategies: plain copy, a learned per-slot linear
 (slot order given by finer-graph degree), or the slot output concatenated
-with member structure statistics and linearly mixed. The slots and the
-statistics are built once, with the partition map.
+with member structure statistics and linearly mixed. Every strategy reads
+each finer node from its supernode's row with one gather; the learned ones
+first multiply the coarse rows by all slot matrices in one product. The
+slots and the statistics are built once, with the partition map.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, UsageError
+from .errors import DimensionError, PartitionError, UsageError
 from .partition import PartitionMap
 from .tensor import Tensor
 
@@ -96,21 +98,25 @@ def st_pool_spatial(seq: Tensor, pm: PartitionMap, mode: str, from_level: int = 
 
 
 def unpool_one(x: Tensor, pm: PartitionMap, level: int, strategy: UnpoolStrategy) -> Tensor:
-    """Lift one level: node extent graphs[level+1].n up to graphs[level].n."""
+    """Lift one level: node extent graphs[level+1].n up to graphs[level].n.
+
+    Each finer node gathers its supernode's row; the learned modes gather row
+    ``parent * MAX_GROUP + slot`` of the coarse rows times all slot matrices,
+    read as MAX_GROUP rows per supernode.
+    """
     _check_level(pm, level)
     _check_nodes(x, pm.graphs[level + 1].n)
     if strategy.mode not in UNPOOL_MODES:
         raise UsageError(f"unknown unpooling strategy {strategy.mode!r}")
     parent = pm.parents[level]
-    copied = T.gather_rows(x, parent)
     if strategy.mode == "direct_copy":
-        return copied
+        return T.gather_rows(x, parent)
     slot = pm.slots[level]
-    lifted = None
-    for r, w in enumerate(strategy.slot_w):
-        mask = (slot == r).astype(np.float64)[:, None]
-        term = T.mul_const(T.matmul(copied, w), mask)
-        lifted = term if lifted is None else T.add(lifted, term)
+    if slot.max(initial=0) >= MAX_GROUP:
+        raise PartitionError(f"level {level} has a supernode of over {MAX_GROUP} members")
+    slotted = T.matmul(x, T.concat_channels(*strategy.slot_w))
+    slotted = T.reshape(slotted, x.data.shape[:-2] + (MAX_GROUP * x.data.shape[-2], -1))
+    lifted = T.gather_rows(slotted, parent * MAX_GROUP + slot)
     if strategy.mode == "ordered_deconv":
         return lifted
     stats = pm.member_stats[level]

@@ -277,6 +277,15 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(out, (a, b), lambda g: (g[..., :c1], g[..., c1:]))
 
 
+def reshape(x: Tensor, shape: tuple) -> Tensor:
+    """The same values in row-major order, read with another shape."""
+    try:
+        out = x.data.reshape(shape)
+    except ValueError:
+        raise DimensionError(f"reshape: cannot read {x.data.shape} as {shape}") from None
+    return apply_op(out, (x,), lambda g: (g.reshape(x.data.shape),))
+
+
 def select_step(x: Tensor, t: int | slice) -> Tensor:
     """Pick index ``t`` (one time step) or the slice ``t`` (a block of steps)
     along the leading axis."""
@@ -310,15 +319,17 @@ def concat_steps(blocks: list[Tensor]) -> Tensor:
 
 
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
-    """Gather rows along the node axis (second to last); scatter-add backward."""
+    """Gather rows along the node axis (second to last). The backward folds
+    each source row's gradient rows in gather order, as ``segment_reduce``
+    folds members; a source row never gathered gets a zero gradient."""
     index = np.asarray(index, dtype=np.int64)
     if x.data.ndim < 2:
         raise DimensionError("gather_rows requires rank >= 2 input")
 
     def pull(g):
+        used, group = np.unique(index, return_inverse=True)
         z = np.zeros_like(x.data)
-        zv = np.moveaxis(z, -2, 0)
-        np.add.at(zv, index, np.moveaxis(g, -2, 0))
+        z[..., used, :] = _fold_members(g, *member_table(group, index.size), np.add, 0.0)
         return (z,)
 
     return apply_op(np.take(x.data, index, axis=-2), (x,), pull)
@@ -350,6 +361,19 @@ def member_table(parent, n: int, n_super: int | None = None):
     return table, counts
 
 
+def _fold_members(xd: np.ndarray, table, counts, fold, identity: float) -> np.ndarray:
+    """Fold the members of each ``member_table`` row of ``xd`` (node axis
+    second to last) in node order, one slot rank at a time, onto ``identity``,
+    with the operand order np.mean and np.max use. Padding folds in as the
+    identity, which leaves every bit (a sum started at +0.0 is never -0.0)."""
+    out = fold(identity, np.take(xd, table[:, 0], axis=-2))
+    for r in range(1, table.shape[1]):
+        column = np.take(xd, table[:, r], axis=-2)
+        column[..., counts <= r, :] = identity
+        fold(out, column, out=out)
+    return out
+
+
 def segment_reduce(x: Tensor, segments: np.ndarray, mode: str) -> Tensor:
     """Per-segment reduction over the node axis (second to last).
 
@@ -361,16 +385,9 @@ def segment_reduce(x: Tensor, segments: np.ndarray, mode: str) -> Tensor:
     xd = x.data
     segments = np.asarray(segments, dtype=np.int64)
     table, counts = member_table(segments, xd.shape[-2])
-    # fold members in node order, one slot rank at a time, onto the identity
-    # (+0.0 for the sum, -inf for the max) with the operand order np.mean and
-    # np.max use; padding folds in as the identity, which leaves every bit
-    # (a sum started at +0.0 is never -0.0)
+    # +0.0 and -inf are the starts np.mean and np.max fold from
     fold, identity = (np.add, 0.0) if mode == "mean" else (np.maximum, -np.inf)
-    out = fold(identity, np.take(xd, table[:, 0], axis=-2))
-    for r in range(1, table.shape[1]):
-        column = np.take(xd, table[:, r], axis=-2)
-        column[..., counts <= r, :] = identity
-        fold(out, column, out=out)
+    out = _fold_members(xd, table, counts, fold, identity)
     if mode == "mean":
         out /= counts[:, None]
 

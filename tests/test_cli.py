@@ -1,6 +1,8 @@
 """Command-line interface: config plumbing, subcommands, determinism."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -303,3 +305,48 @@ def test_config_file_with_cli_override(tmp_path):
     assert rc.epochs == 1  # --set wins over file
     assert rc.seed == 8  # flag wins over file
     assert rc.lr == 0.005
+
+
+def test_predict_reports_a_bad_checkpoint_config_as_an_error(tmp_path, capsys):
+    from stunet.model import STUNetConfig, build, save_checkpoint
+
+    data = synth_dir(tmp_path)
+    adj = os.path.join(data, "adjacency.csv")
+    ckpt = os.path.join(str(tmp_path), "model.ckpt")
+    save_checkpoint(build(STUNetConfig(k=2, hidden_sizes=(4, 4, 4), j=6), load_adjacency(adj)), ckpt)
+    raw = open(ckpt, "rb").read()
+    open(ckpt, "wb").write(raw.replace(b"\nj=6\n", b"\nj=x\n", 1))
+    rv = cli.main(
+        ["predict", "--adj", adj, "--series", os.path.join(data, "series.csv"), "--ckpt", ckpt]
+    )
+    assert rv == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "model.ckpt" in err and "j='x'" in err
+
+
+def test_synth_manifest_errors_name_the_field(tmp_path, capsys):
+    out = synth_dir(tmp_path)
+    text = open(os.path.join(out, "manifest.txt")).read()
+    for name, bad_text, key in (
+        ("value.txt", text.replace("cols=4", "cols=x"), "'cols'"),
+        ("missing.txt", text.replace("t=240\n", ""), "'t'"),
+    ):
+        manifest = tmp_path / name
+        manifest.write_text(bad_text)
+        capsys.readouterr()
+        rv = cli.main(["synth", "--manifest", str(manifest), "--out", str(tmp_path / "again")])
+        assert rv == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and key in err
+
+
+def test_cli_import_leaves_evaluate_and_subprocess_unloaded():
+    import stunet
+
+    code = "import sys, stunet.cli; print('stunet.evaluate' in sys.modules, 'subprocess' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stunet.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]

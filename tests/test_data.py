@@ -260,3 +260,16 @@ def test_row_parse_errors_name_line_and_token(tmp_path):
     path = write(tmp_path, "series.csv", "a,b\n1.0,2.0\n3.0, 4x \n")
     with pytest.raises(DataError, match=r"series\.csv:3: bad number '4x'"):
         load_series(path, 2)
+
+
+@pytest.mark.parametrize("fmt", ["edge_list", "distance_gaussian"])
+def test_edge_lists_reject_non_integer_node_ids(tmp_path, fmt):
+    path = write(tmp_path, "ids.csv", "i,j,w\n0,1,1\n1.5,2,1\n")
+    with pytest.raises(DataError, match=r"ids\.csv:3: bad node id"):
+        load_adjacency(path, fmt)
+
+
+def test_edge_list_drops_self_loops_but_counts_their_nodes(tmp_path):
+    path = write(tmp_path, "loops.csv", "0,0,3\n0,1,2\n1,0,5\n2,2,1\n")
+    g = load_adjacency(path, "edge_list")
+    assert g.weights.tolist() == [[0.0, 5.0, 0.0], [5.0, 0.0, 0.0], [0.0, 0.0, 0.0]]

@@ -288,3 +288,35 @@ def test_forward_drops_nothing_from_tape_between_calls():
     assert any(np.abs(g).max() > 0 for g in grads)
     for p in model.trainable_params():
         p.zero_grad()
+
+
+def test_config_lines_keep_the_stored_format():
+    assert STUNetConfig().to_lines() == (
+        "k=3\np=2\ns=2\nhidden_sizes=64,64,64\npool_mode=max\nunpool_mode=direct_copy\n"
+        "layer_norm=1\nj=12\nh=3\nd_in=1\nd_out=1\nseed=0\n"
+    )
+    cfg = STUNetConfig(
+        k=2, p=1, s=3, hidden_sizes=(3, 4, 5), pool_mode="mean",
+        unpool_mode="weighted_deconv", layer_norm=False, j=7, h=2, d_in=2, d_out=3, seed=11,
+    )
+    assert cfg.to_lines() == (
+        "k=2\np=1\ns=3\nhidden_sizes=3,4,5\npool_mode=mean\nunpool_mode=weighted_deconv\n"
+        "layer_norm=0\nj=7\nh=2\nd_in=2\nd_out=3\nseed=11\n"
+    )
+    assert STUNetConfig.from_lines(cfg.to_lines()) == cfg
+
+
+def test_checkpoint_config_errors_name_file_and_field(tmp_path):
+    g = tiny_graph(seed=13)
+    _, path = checkpoint_roundtrip(str(tmp_path), tiny_config(), g)
+    raw = open(path, "rb").read()
+    assert raw[12:16] == b"k=2\n"  # the config block opens the file after the header
+    for name, field_text, message in (
+        ("value.ckpt", b"k=x\n", r"value\.ckpt: config field k='x'"),
+        ("missing.ckpt", b"K=2\n", r"missing\.ckpt: config block missing key 'k'"),
+        ("utf8.ckpt", b"k=\xff\n", r"utf8\.ckpt: .*utf-8"),
+    ):
+        bad = os.path.join(str(tmp_path), name)
+        open(bad, "wb").write(raw[:12] + field_text + raw[16:])
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(bad, g)

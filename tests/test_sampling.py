@@ -5,9 +5,11 @@ import pytest
 
 from conftest import check_gradients, cycle_graph, leaf, random_graph
 from stunet import tensor as T
-from stunet.errors import DimensionError, UsageError
-from stunet.partition import multilevel_partition
+from stunet.errors import DimensionError, PartitionError, UsageError
+from stunet.graph import Graph
+from stunet.partition import PartitionMap, multilevel_partition
 from stunet.sampling import (
+    STRUCT_FEATURES,
     UNPOOL_MODES,
     UnpoolStrategy,
     g_pooling,
@@ -197,3 +199,62 @@ def test_unpool_gradients_all_strategies():
             params,
             rel_tol=1e-5,
         )
+
+
+def _unpool_one_reference(x, pm, level, strategy):
+    """Every finer node through every slot matrix, masked to its own slot."""
+    copied = T.gather_rows(x, pm.parents[level])
+    if strategy.mode == "direct_copy":
+        return copied
+    lifted = None
+    for r, w in enumerate(strategy.slot_w):
+        mask = (pm.slots[level] == r).astype(np.float64)[:, None]
+        term = T.mul_const(T.matmul(copied, w), mask)
+        lifted = term if lifted is None else T.add(lifted, term)
+    if strategy.mode == "ordered_deconv":
+        return lifted
+    wide = np.ascontiguousarray(
+        np.broadcast_to(pm.member_stats[level], lifted.data.shape[:-1] + (STRUCT_FEATURES,))
+    )
+    return T.matmul(T.concat_channels(lifted, Tensor(wide)), strategy.mix_w)
+
+
+def _lift_with_grads(lift, xd, pm, level, strategy, g):
+    T.reset_tape()
+    for p in strategy.params():
+        p.zero_grad()
+    x = Tensor(xd, requires_grad=True)
+    y = lift(x, pm, level, strategy)
+    T.backward(T._reduce_sum(T.mul_const(y, g)))
+    return y.data, [x.grad] + [p.grad_array().copy() for p in strategy.params()]
+
+
+@pytest.mark.parametrize("mode", UNPOOL_MODES)
+def test_unpool_one_matches_slot_loop_reference(mode):
+    rng = np.random.default_rng(26)
+    singletons = 0
+    for _ in range(4):
+        pm = multilevel_partition(random_graph(rng, int(rng.integers(9, 16)), density=0.3), 3)
+        singletons += sum(int((np.bincount(p) == 1).sum()) for p in pm.parents)
+        for c in (1, 4):
+            strategy = init_unpool(rng, mode, c)
+            for lead in ((), (3,), (2, 3)):
+                for level in range(pm.levels):
+                    xd = rng.normal(size=lead + (pm.graphs[level + 1].n, c))
+                    g = rng.normal(size=lead + (pm.graphs[level].n, c))
+                    got, got_grads = _lift_with_grads(unpool_one, xd, pm, level, strategy, g)
+                    want, want_grads = _lift_with_grads(
+                        _unpool_one_reference, xd, pm, level, strategy, g
+                    )
+                    assert got.tobytes() == want.tobytes()
+                    for a, b in zip(got_grads, want_grads):
+                        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    assert singletons > 0
+
+
+def test_unpool_rejects_supernodes_wider_than_the_slots():
+    # three nodes merged into one supernode: slot 2 has no matrix
+    pm = PartitionMap(graphs=[cycle_graph(3), Graph(np.zeros((1, 1)))], parents=[np.zeros(3, int)])
+    strategy = init_unpool(np.random.default_rng(27), "ordered_deconv", 2)
+    with pytest.raises(PartitionError):
+        unpool_one(Tensor(np.ones((1, 2))), pm, 0, strategy)

@@ -388,3 +388,35 @@ def test_select_step_slices_and_concat_steps_rejoin_blocks():
         [v],
         rel_tol=1e-6,
     )
+
+
+def test_gather_rows_backward_matches_add_at():
+    rng = np.random.default_rng(23)
+    # repeated indices; source rows 1 and 5 are never gathered
+    index = np.array([4, 0, 4, 2, 0, 4, 3])
+    for shape in ((6, 3), (2, 3, 6, 4), (6, 1)):
+        T.reset_tape()
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        y = T.gather_rows(x, index)
+        # magnitudes far apart, so the summation order shows in the bits;
+        # signed zeros included
+        g = rng.normal(size=y.shape) * 10.0 ** rng.integers(-8, 9, size=y.shape)
+        g[rng.random(size=y.shape) < 0.2] = 0.0
+        g[g == 0] *= rng.choice([-1.0, 1.0], size=int((g == 0).sum()))
+        T.backward(T._reduce_sum(T.mul_const(y, g)))
+        want = np.zeros_like(x.data)
+        np.add.at(np.moveaxis(want, -2, 0), index, np.moveaxis(g, -2, 0))
+        assert _same_bits(x.grad, want)
+
+
+def test_reshape_values_and_gradient():
+    x = leaf((2, 3, 4), seed=24)
+    assert np.array_equal(T.reshape(x, (2, 6, -1)).data, x.data.reshape(2, 6, 2))
+    w = np.random.default_rng(25).normal(size=(3, 8))
+    check_gradients(
+        lambda: T._reduce_sum(T.mul_const(T.tanh(T.reshape(x, (3, 8))), w)),
+        [x],
+        rel_tol=1e-6,
+    )
+    with pytest.raises(DimensionError):
+        T.reshape(x, (5, 5))
