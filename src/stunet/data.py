@@ -192,7 +192,9 @@ def load_adjacency(
     eps: float = 0.0,
 ) -> Graph:
     """Read a graph as a dense matrix, an `i,j,w` edge list (symmetrized by
-    max), or an `i,j,d` distance list with W = exp(-d^2/sigma^2) when >= eps."""
+    max), or an `i,j,d` distance list with W = exp(-d^2/sigma^2) when >= eps
+    (sigma > 0). A list's first line is a header only when neither of its
+    first two tokens is a number."""
     lines = _data_lines(path)
     if not lines:
         raise DataError(f"{path}: empty adjacency file")
@@ -219,15 +221,15 @@ def load_adjacency(
         np.fill_diagonal(w, 0.0)
         return Graph(w)
     if fmt in ("edge_list", "distance_gaussian"):
+        if fmt == "distance_gaussian" and not sigma > 0:
+            raise DataError(f"{path}: distance_gaussian needs sigma > 0, got {sigma}")
         edges = []
         n = 0
         for lineno, line in lines:
             toks = [t.strip() for t in line.split(",")]
             if len(toks) != 3:
                 raise DataError(f"{path}:{lineno}: expected `i,j,value`")
-            if not n and not (
-                toks[0].lstrip("-").isdigit() and toks[1].lstrip("-").isdigit()
-            ):
+            if lineno == lines[0][0] and not any(map(_is_number, toks[:2])):
                 continue  # header line
             try:
                 i, j = int(toks[0]), int(toks[1])

@@ -13,6 +13,7 @@ provided for verification on small graphs only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -170,6 +171,46 @@ class GraphLaplacian:
                     blk += part
         return out.reshape(v.shape)
 
+    def basis(self, v: np.ndarray, order: int) -> np.ndarray:
+        """[T_0(L~)v | ... | T_{K-1}(L~)v] along the channel axis, one new array.
+
+        The recursion T_k = 2 L~ T_{k-1} - T_{k-2} is applied to the signal,
+        never materializing polynomial matrices.
+        """
+        if v.shape[-2] != self.n:
+            raise DimensionError(
+                f"signal node extent {v.shape[-2]} != graph size {self.n}"
+            )
+        c = v.shape[-1]
+        out = np.empty(v.shape[:-1] + (order * c,))
+        out[..., :c] = v
+        prev, cur = None, v
+        for k in range(1, order):
+            nxt = self.product(cur)
+            if prev is not None:
+                nxt *= 2.0
+                nxt -= prev
+            out[..., k * c : (k + 1) * c] = nxt
+            prev, cur = cur, nxt
+        return out
+
+    def basis_transpose(self, g: np.ndarray, order: int) -> np.ndarray:
+        """Gradient of ``basis`` w.r.t. its signal, by the transposed (Clenshaw)
+        recursion; L~ is symmetric and constant, so it needs L~ products only."""
+        c = g.shape[-1] // order
+        # b_k = g_k + 2 L~ b_{k+1} - b_{k+2};  dv = g_0 + L~ b_1 - b_2
+        blocks = [g[..., k * c : (k + 1) * c] for k in range(order)]
+        b1, b2 = blocks[-1], None
+        for k in range(order - 2, -1, -1):
+            b = self.product(b1)
+            if k:
+                b *= 2.0
+            b += blocks[k]
+            if b2 is not None:
+                b -= b2
+            b1, b2 = b, b1
+        return b1
+
 
 def _ell_operator(m: np.ndarray):
     """Padded-neighbour form (index, weight), each (n, width), of the nonzeros
@@ -237,61 +278,33 @@ class ChebKernel:
         return cls(T.glorot_from(rng, (k, c_out, c_in)))
 
 
-def kernel_matrix(kernel: ChebKernel) -> Tensor:
+def kernel_matrix(*kernels: ChebKernel) -> Tensor:
     """Fold (K, C_out, C_in) coefficients into a (K*C_in, C_out) matrix so the
-    filter applies as one product against the stacked Chebyshev basis."""
-    theta = kernel.theta
-    k, c_out, c_in = theta.data.shape
-    folded = np.transpose(theta.data, (0, 2, 1)).reshape(k * c_in, c_out)
+    filter applies as one product against the stacked Chebyshev basis. Several
+    kernels of one order and C_in fold side by side, one column block each."""
+    thetas = tuple(kern.theta for kern in kernels)
+    k, _, c_in = thetas[0].data.shape
+    ends = list(accumulate(t.data.shape[1] for t in thetas))
+    folded = np.empty((k, c_in, ends[-1]))
+    for t, lo, hi in zip(thetas, [0] + ends, ends):
+        folded[..., lo:hi] = np.transpose(t.data, (0, 2, 1))
 
     def pull(g):
-        return (np.transpose(g.reshape(k, c_in, c_out), (0, 2, 1)),)
+        g = g.reshape(k, c_in, -1)
+        return tuple(
+            np.transpose(g[..., lo:hi], (0, 2, 1)) for lo, hi in zip([0] + ends, ends)
+        )
 
-    return apply_op(folded, (theta,), pull)
+    return apply_op(folded.reshape(k * c_in, -1), thetas, pull)
 
 
 def cheb_basis(lap: GraphLaplacian, x: Tensor, order: int) -> Tensor:
-    """Stack [T_0(L~)x | ... | T_{K-1}(L~)x] along the channel axis, one op.
-
-    The recursion T_k = 2 L~ T_{k-1} - T_{k-2} is applied to the signal, never
-    materializing polynomial matrices, and writes each term into one buffer.
-    The pullback runs the transposed (Clenshaw) recursion; L~ is symmetric and
-    constant, so it needs L~ products only.
-    """
+    """Stack [T_0(L~)x | ... | T_{K-1}(L~)x] along the channel axis, one op
+    whose pullback is the Clenshaw recursion (``basis_transpose``)."""
     if order < 1:
         raise UsageError(f"Chebyshev order must be >= 1, got {order}")
-    xd = x.data
-    if xd.shape[-2] != lap.n:
-        raise DimensionError(
-            f"signal node extent {xd.shape[-2]} != graph size {lap.n}"
-        )
-    c = xd.shape[-1]
-    out = np.empty(xd.shape[:-1] + (order * c,))
-    out[..., :c] = xd
-    prev, cur = None, xd
-    for k in range(1, order):
-        nxt = lap.product(cur)
-        if prev is not None:
-            nxt *= 2.0
-            nxt -= prev
-        out[..., k * c : (k + 1) * c] = nxt
-        prev, cur = cur, nxt
-
-    def pull(g):
-        # b_k = g_k + 2 L~ b_{k+1} - b_{k+2};  dx = g_0 + L~ b_1 - b_2
-        blocks = [g[..., k * c : (k + 1) * c] for k in range(order)]
-        b1, b2 = blocks[-1], None
-        for k in range(order - 2, -1, -1):
-            b = lap.product(b1)
-            if k:
-                b *= 2.0
-            b += blocks[k]
-            if b2 is not None:
-                b -= b2
-            b1, b2 = b, b1
-        return (b1,)
-
-    return apply_op(out, (x,), pull)
+    out = lap.basis(x.data, order)
+    return apply_op(out, (x,), lambda g: (lap.basis_transpose(g, order),))
 
 
 def cheb_conv(kernel: ChebKernel, lap: GraphLaplacian, x: Tensor) -> Tensor:

@@ -1,15 +1,19 @@
 """Gated graph-convolutional recurrence with dilated skip connections.
 
 The cell is a GRU whose input and hidden transforms are Chebyshev graph
-convolutions. A dilated layer advances the hidden state from step t-s to
-step t, so one layer with dilation s maintains s interleaved recurrence
-chains. The layer runs them side by side: it walks the sequence in blocks of
-s consecutive steps, which hold one step of every chain on the leading axis,
-and one cell step advances a whole block from the previous block's output.
+convolutions. Its input side (one Chebyshev basis of the input and one product
+with the three input kernels side by side) depends on no state, so a layer
+computes it for a chunk of steps at once; one cell step is then one fused op
+over the hidden path, whose pullback is written out by hand. A dilated layer
+advances the hidden state from step t-s to step t, so one layer with dilation
+s maintains s interleaved recurrence chains. The layer runs them side by side:
+it walks the sequence in blocks of s consecutive steps, which hold one step of
+every chain on the leading axis, and one cell step advances a whole block from
+the previous block's output, writing it into one buffer for the layer.
 Encoding runs a stack of such layers with optional spatial pooling between
 them; decoding rolls a cell forward step by step, feeding back its own
 predictions (or, during training, the ground truth with the scheduled
-sampling probability).
+sampling probability), so its input side is computed per step.
 """
 
 from __future__ import annotations
@@ -20,12 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, ModelError, UsageError
+from .errors import DimensionError, ModelError, NumericError, UsageError
 from .graph import ChebKernel, GraphLaplacian, cheb_basis, kernel_matrix
 from .sampling import st_pool_spatial
 from .tensor import Tensor
 
 SS_TAU_DEFAULT = 1000.0
+# a layer hoists its input side for a chunk of whole blocks whose basis and
+# product hold at most about this many elements (4 MB), so a long or wide
+# sequence never holds the input side of every step at once
+_CHUNK_ELEMS = 1 << 19
 
 
 def scheduled_sampling_prob(iteration: int, tau: float = SS_TAU_DEFAULT) -> float:
@@ -131,48 +139,124 @@ def init_gcgru_weights(
 
 
 class FoldedCell:
-    """One cell with its kernels pre-folded for repeated stepping.
+    """One cell with its kernels folded for repeated stepping.
 
-    Folding happens once per forward pass; every time step then shares the
-    same kernel-matrix tape nodes, and the Chebyshev bases of the input and
-    state are each computed once per step and reused across the three gates.
+    Folding happens once per forward pass, as four ops: the input kernels
+    [W_z|W_r|W_h] as one (K*D_x, 3*D_h) matrix, the gate kernels [U_z|U_r] as
+    one (K*D_h, 2*D_h) matrix, U_h, and the three biases as one vector. Every
+    step then shares these tape nodes.
     """
 
-    __slots__ = ("w", "mats")
+    __slots__ = ("w", "wx", "uzr", "uh", "b")
 
     def __init__(self, w: GCGRUWeights):
         self.w = w
-        self.mats = tuple(
-            kernel_matrix(k) for k in (w.w_z, w.w_r, w.w_h, w.u_z, w.u_r, w.u_h)
-        )
+        self.wx = kernel_matrix(w.w_z, w.w_r, w.w_h)
+        self.uzr = kernel_matrix(w.u_z, w.u_r)
+        self.uh = kernel_matrix(w.u_h)
+        self.b = T.concat_channels(w.b_z, w.b_r, w.b_h)
 
-    def step(self, lap: GraphLaplacian, x_t: Tensor, h_prev: Tensor) -> Tensor:
-        w = self.w
-        if x_t.data.shape[-1] != w.d_x or h_prev.data.shape[-1] != w.d_h:
+    def input_side(self, lap: GraphLaplacian, x: Tensor) -> Tensor:
+        """The input's share of the three gate pre-activations, (..., 3*D_h)."""
+        if x.data.shape[-1] != self.w.d_x:
             raise DimensionError(
-                f"cell expects channels ({w.d_x}, {w.d_h}), got "
-                f"({x_t.data.shape[-1]}, {h_prev.data.shape[-1]})"
+                f"cell expects {self.w.d_x} input channels, got {x.data.shape[-1]}"
             )
-        mwz, mwr, mwh, muz, mur, muh = self.mats
-        bx = cheb_basis(lap, x_t, w.order)
-        bh = cheb_basis(lap, h_prev, w.order)
-        z = T.sigmoid(T.add_bias(T.add(T.matmul(bx, mwz), T.matmul(bh, muz)), w.b_z))
-        r = T.sigmoid(T.add_bias(T.add(T.matmul(bx, mwr), T.matmul(bh, mur)), w.b_r))
-        br = cheb_basis(lap, T.hadamard(r, h_prev), w.order)
-        cand = T.tanh(T.add_bias(T.add(T.matmul(bx, mwh), T.matmul(br, muh)), w.b_h))
-        # z*h_prev + (1-z)*cand, written without materializing (1-z)
-        h = T.add(cand, T.hadamard(z, T.sub(h_prev, cand)))
-        if w.ln_gain is not None:
-            h = T.layer_norm(h, w.ln_gain, w.ln_bias)
-        return h
+        return T.matmul(cheb_basis(lap, x, self.w.order), self.wx)
 
-    def zero_state(self, x_t: Tensor) -> Tensor:
-        return Tensor(np.zeros(x_t.data.shape[:-1] + (self.w.d_h,)))
+    def step(
+        self, lap: GraphLaplacian, xw: Tensor, h_prev: Tensor, rows=None, out=None, t=0
+    ) -> Tensor:
+        """Advance the state one step, as one op.
+
+        ``xw`` is an ``input_side``; ``rows`` picks the slice of its leading
+        axis that belongs to this step (all of it when None). With B(v) the
+        Chebyshev basis of v:
+
+            [z|r] = sigmoid((xw_zr + B(h_prev) [U_z|U_r]) + [b_z|b_r])
+            c     = tanh((xw_h + B(r * h_prev) U_h) + b_h)
+            h     = c + z * (h_prev - c),  then the optional layer norm
+
+        written into ``out`` when given. A non-finite gate pre-activation
+        raises NumericError naming the gate and ``t``, the time step of the
+        first row.
+        """
+        w, d = self.w, self.w.d_h
+        xs = xw.data if rows is None else xw.data[rows]
+        hp = h_prev.data
+        if xs.shape[:-1] != hp.shape[:-1] or (xs.shape[-1], hp.shape[-1]) != (3 * d, d):
+            raise DimensionError(
+                f"cell expects input side (..., {3 * d}) and state (..., {d}) with "
+                f"equal leading extents, got {xs.shape} and {hp.shape}"
+            )
+        k, uzr, uh, b = w.order, self.uzr.data, self.uh.data, self.b.data
+        bh = lap.basis(hp, k)
+        zr = T.flat_matmul(bh, uzr)
+        np.add(xs[..., : 2 * d], zr, out=zr)
+        zr += b[: 2 * d]
+        _check_finite(zr, "update/reset gate", t)
+        zr = T.sigmoid_array(zr)
+        z, r = zr[..., :d], zr[..., d:]
+        br = lap.basis(r * hp, k)
+        c = T.flat_matmul(br, uh)
+        np.add(xs[..., 2 * d :], c, out=c)
+        c += b[2 * d :]
+        _check_finite(c, "candidate", t)
+        np.tanh(c, out=c)
+        ln = w.ln_gain is not None
+        h = np.subtract(hp, c, out=None if ln else out)
+        h *= z
+        h += c
+        if ln:
+            h, xhat, inv_std = T.layer_norm_array(h, w.ln_gain.data, w.ln_bias.data, out)
+
+        shape = xs.shape
+
+        def pull(g):
+            grads = T.layer_norm_pull(g, xhat, inv_std, w.ln_gain.data) if ln else (g,)
+            g = grads[0]
+            gx = np.empty(shape)  # [d pre_z | d pre_r | d pre_c]
+            gz = g * z
+            np.multiply(g - gz, 1.0 - c * c, out=gx[..., 2 * d :])
+            np.multiply(g * (hp - c), z * (1.0 - z), out=gx[..., :d])
+            dc = gx[..., 2 * d :]
+            drh = lap.basis_transpose(T.flat_matmul(dc, uh.T), k)
+            np.multiply(drh * hp, r * (1.0 - r), out=gx[..., d : 2 * d])
+            dzr = gx[..., : 2 * d]
+            dh_prev = gz + drh * r + lap.basis_transpose(T.flat_matmul(dzr, uzr.T), k)
+            return (
+                gx if rows is None else (rows, gx),
+                dh_prev,
+                _flat(bh).T @ _flat(dzr),
+                _flat(br).T @ _flat(dc),
+                _flat(gx).sum(axis=0),
+            ) + grads[1:]
+
+        parents = (xw, h_prev, self.uzr, self.uh, self.b)
+        if ln:
+            parents += (w.ln_gain, w.ln_bias)
+        return T.apply_op(h, parents, pull)
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
+def _check_finite(a: np.ndarray, gate: str, t: int) -> None:
+    # a sum is non-finite whenever one of its terms is, and sigmoid and tanh
+    # keep finite values finite, so this check and the op's output check see
+    # every non-finite value the step could produce
+    if not np.isfinite(a).all():
+        raise NumericError(
+            f"GCGRU {gate} pre-activation is non-finite in the block starting "
+            f"at time step {t}"
+        )
 
 
 def gcgru_cell(w: GCGRUWeights, lap: GraphLaplacian, x_t: Tensor, h_prev: Tensor) -> Tensor:
     """Single gated update; see FoldedCell.step for the gate equations."""
-    return FoldedCell(w).step(lap, x_t, h_prev)
+    cell = FoldedCell(w)
+    return cell.step(lap, cell.input_side(lap, x_t), h_prev)
 
 
 def dilated_layer_forward(
@@ -184,7 +268,10 @@ def dilated_layer_forward(
     t-s < 0 start from the zero state. Steps are taken in blocks of s, so
     block b is steps b*s .. b*s+s-1 and its previous-state block is the output
     of block b-1, row for row. A short last block (s not dividing the length)
-    takes the first rows of that output. s=1 is a plain recurrent scan.
+    takes the first rows of that output. s=1 is a plain recurrent scan. The
+    input side is computed for chunks of whole blocks (the whole sequence
+    when it is small, see _CHUNK_ELEMS), and every block writes its output
+    into one buffer, which is the layer's output.
     """
     if s < 1:
         raise UsageError("dilation must be >= 1")
@@ -192,16 +279,21 @@ def dilated_layer_forward(
     if steps < 1:
         raise DimensionError("empty input sequence")
     cell = FoldedCell(w)
+    out = np.empty(inputs.data.shape[:-1] + (w.d_h,))
+    block_elems = out[:s].size // w.d_h * (w.order * w.d_x + 3 * w.d_h)
+    chunk = s * max(1, _CHUNK_ELEMS // block_elems)
+    h = Tensor(np.zeros(out[:s].shape))
     blocks = []
-    for lo in range(0, steps, s):
-        x = T.select_step(inputs, slice(lo, lo + s))
-        if not blocks:
-            h = cell.zero_state(x)
-        elif x.data.shape[0] < s:
-            h = T.select_step(h, slice(0, x.data.shape[0]))
-        h = cell.step(lap, x, h)
-        blocks.append(h)
-    return T.concat_steps(blocks)
+    for c0 in range(0, steps, chunk):
+        x = inputs if chunk >= steps else T.select_step(inputs, slice(c0, c0 + chunk))
+        xw = cell.input_side(lap, x)
+        for lo in range(c0, min(c0 + chunk, steps), s):
+            hi = min(lo + s, steps)
+            if hi - lo < h.data.shape[0]:
+                h = T.select_step(h, slice(0, hi - lo))
+            h = cell.step(lap, xw, h, slice(lo - c0, hi - c0), out[lo:hi], lo)
+            blocks.append(h)
+    return T.concat_steps(blocks, out)
 
 
 def encode(
@@ -267,7 +359,7 @@ def decode(
     x = go_symbol
     preds = []
     for t in range(horizon):
-        h = cell.step(lap, x, h)
+        h = cell.step(lap, cell.input_side(lap, x), h, None, None, t)
         y = readout(h)
         preds.append(y)
         if t + 1 < horizon:

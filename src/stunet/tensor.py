@@ -4,6 +4,8 @@ A single module-level tape records every differentiable operation in creation
 order. ``backward`` walks the tape in reverse, accumulating gradients into the
 ``grad`` buffer of leaf tensors (parameters). The gradient of an op output is
 freed as soon as its pullback has run, so op outputs keep ``grad`` as None.
+A pullback may give a parent's gradient as an ``(index, part)`` pair, nonzero
+only at ``parent[index]``; a block of a long sequence then costs its own size.
 
 Binary elementwise operations require exactly equal shapes; the only broadcast
 entry points are ``scale`` (scalar factor) and the explicit ``add_bias``.
@@ -12,6 +14,7 @@ entry points are ``scale`` (scalar factor) and the explicit ``add_bias``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -134,7 +137,8 @@ class no_grad:
 def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
     """Wrap an op result, recording it on the tape when gradients are needed.
 
-    ``pullback`` maps the output gradient to one gradient (or None) per parent.
+    ``pullback`` maps the output gradient to one gradient (or None) per parent,
+    each a full-shape array or an ``(index, part)`` pair for ``parent[index]``.
     Other modules use this hook to define custom differentiable operations.
     """
     data = np.asarray(data, dtype=np.float64)
@@ -164,6 +168,10 @@ def backward(loss: Tensor) -> None:
     if tid is None or tid >= len(nodes) or nodes[tid].out is not loss:
         raise UsageError("loss is not recorded on the active tape")
     buffers: dict[int, np.ndarray] = {tid: np.ones_like(loss.data)}
+    # buffers allocated here, which partial gradients may update in place; any
+    # other buffer may be shared with a pullback's other outputs, and a leaf's
+    # gradient array is never updated in place
+    owned: set[int] = set()
     for idx in range(tid, -1, -1):
         g = buffers.pop(idx, None)
         if g is None:
@@ -172,11 +180,25 @@ def backward(loss: Tensor) -> None:
         for parent, pg in zip(node.parents, node.pullback(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            if parent.tape_id is not None:
-                acc = buffers.get(parent.tape_id)
-                buffers[parent.tape_id] = pg if acc is None else acc + pg
+            pid = parent.tape_id
+            acc = parent.grad if pid is None else buffers.get(pid)
+            if type(pg) is tuple:
+                index, part = pg
+                if acc is None:
+                    acc = np.zeros_like(parent.data)
+                elif pid is None or pid not in owned:
+                    acc = acc.copy()
+                acc[index] += part
+                owned.add(pid)
+            elif acc is None:
+                acc = pg if pid is not None else pg.copy()
             else:
-                parent.grad = pg.copy() if parent.grad is None else parent.grad + pg
+                acc = acc + pg
+                owned.add(pid)
+            if pid is None:
+                parent.grad = acc
+            else:
+                buffers[pid] = acc
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -219,16 +241,21 @@ def mul_const(x: Tensor, const: np.ndarray) -> Tensor:
     return apply_op(out, (x,), lambda g: (g * c,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
-    # overflow-safe: exp of a non-positive argument only; 1/(1+t) for x >= 0,
-    # t/(1+t) otherwise, as one division
+def sigmoid_array(xd: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, as a new array. Overflow-safe: exp of a
+    non-positive argument only; 1/(1+t) for x >= 0, t/(1+t) otherwise, as one
+    division."""
     t = np.abs(xd)
     np.negative(t, out=t)
     np.exp(t, out=t)
     y = np.where(xd >= 0, 1.0, t)
     t += 1.0
     y /= t
+    return y
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = sigmoid_array(x.data)
     return apply_op(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -237,7 +264,7 @@ def tanh(x: Tensor) -> Tensor:
     return apply_op(y, (x,), lambda g: (g * (1.0 - y * y),))
 
 
-def _flat_matmul(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+def flat_matmul(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     """ad (..., m, k) @ bd (k, n) as one flattened product."""
     lead = ad.shape[:-1]
     return (ad.reshape(-1, ad.shape[-1]) @ bd).reshape(lead + (bd.shape[-1],))
@@ -258,23 +285,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def pull(g):
-        ga = _flat_matmul(g, bd.T)
+        ga = flat_matmul(g, bd.T)
         gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return ga, gb
 
-    return apply_op(_flat_matmul(ad, bd), (a, b), pull)
+    return apply_op(flat_matmul(ad, bd), (a, b), pull)
 
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
+def concat_channels(*xs: Tensor) -> Tensor:
     """Concatenate along the last (channel) axis; leading extents must agree."""
-    if a.data.shape[:-1] != b.data.shape[:-1]:
-        raise DimensionError(
-            f"concat_channels: leading extents {a.data.shape[:-1]} and "
-            f"{b.data.shape[:-1]} differ"
-        )
-    c1 = a.data.shape[-1]
-    out = np.concatenate([a.data, b.data], axis=-1)
-    return apply_op(out, (a, b), lambda g: (g[..., :c1], g[..., c1:]))
+    lead = [x.data.shape[:-1] for x in xs]
+    if len(set(lead)) != 1:
+        raise DimensionError(f"concat_channels: leading extents {lead} differ")
+    ends = list(accumulate(x.data.shape[-1] for x in xs))[:-1]
+    out = np.concatenate([x.data for x in xs], axis=-1)
+    return apply_op(out, xs, lambda g: tuple(np.split(g, ends, axis=-1)))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
@@ -293,12 +318,7 @@ def select_step(x: Tensor, t: int | slice) -> Tensor:
     if not (len(range(n)[t]) if isinstance(t, slice) else 0 <= t < n):
         raise DimensionError(f"select_step: index {t} out of range")
 
-    def pull(g):
-        z = np.zeros_like(x.data)
-        z[t] = g
-        return (z,)
-
-    return apply_op(np.ascontiguousarray(x.data[t]), (x,), pull)
+    return apply_op(np.ascontiguousarray(x.data[t]), (x,), lambda g: ((t, g),))
 
 
 def stack_steps(steps: list[Tensor]) -> Tensor:
@@ -309,12 +329,17 @@ def stack_steps(steps: list[Tensor]) -> Tensor:
     return apply_op(out, tuple(steps), lambda g: tuple(g[i] for i in range(len(steps))))
 
 
-def concat_steps(blocks: list[Tensor]) -> Tensor:
-    """Join blocks of steps end to end along the leading (time) axis."""
+def concat_steps(blocks: list[Tensor], out: np.ndarray | None = None) -> Tensor:
+    """Join blocks of steps end to end along the leading (time) axis.
+
+    ``out``, when given, is the joined array whose consecutive leading slices
+    the blocks already are; it is returned as is, without a copy.
+    """
     if len({b.data.shape[1:] for b in blocks}) != 1:
         raise DimensionError("concat_steps needs blocks with equal trailing extents")
-    ends = np.cumsum([b.data.shape[0] for b in blocks])[:-1]
-    out = np.concatenate([b.data for b in blocks], axis=0)
+    ends = list(accumulate(b.data.shape[0] for b in blocks))[:-1]
+    if out is None:
+        out = np.concatenate([b.data for b in blocks], axis=0)
     return apply_op(out, tuple(blocks), lambda g: tuple(np.split(g, ends)))
 
 
@@ -421,26 +446,42 @@ def layer_norm(h: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     c = h.data.shape[-1]
     if gain.data.shape != (c,) or bias.data.shape != (c,):
         raise DimensionError("layer_norm gain/bias must match the channel count")
-    mu = h.data.mean(axis=-1, keepdims=True)
-    centered = h.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv_std
-    out = xhat * gain.data + bias.data
+    out, xhat, inv_std = layer_norm_array(h.data, gain.data, bias.data)
+    return apply_op(
+        out, (h, gain, bias), lambda g: layer_norm_pull(g, xhat, inv_std, gain.data)
+    )
 
-    def pull(g):
-        lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
-        dh = inv_std * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return dh, dgain, dbias
 
-    return apply_op(out, (h, gain, bias), pull)
+def layer_norm_array(h: np.ndarray, gain: np.ndarray, bias: np.ndarray, out=None):
+    """The layer norm of an array, written into ``out`` (a new array when
+    None), with what its pullback reads: (out, xhat, inv_std)."""
+    # the sums divided by the count are what ndarray.mean computes, bit for bit
+    c = h.shape[-1]
+    mu = np.add.reduce(h, axis=-1, keepdims=True)
+    mu /= c
+    xhat = h - mu
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= c
+    var += _LN_EPS
+    inv_std = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv_std
+    out = np.multiply(xhat, gain, out=out)
+    out += bias
+    return out, xhat, inv_std
+
+
+def layer_norm_pull(g, xhat, inv_std, gain):
+    """Gradients (dh, dgain, dbias) of a layer norm from its output gradient."""
+    lead = tuple(range(g.ndim - 1))
+    dgain = (g * xhat).sum(axis=lead)
+    dbias = g.sum(axis=lead)
+    dxhat = g * gain
+    dh = inv_std * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dh, dgain, dbias
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:

@@ -273,3 +273,20 @@ def test_edge_list_drops_self_loops_but_counts_their_nodes(tmp_path):
     path = write(tmp_path, "loops.csv", "0,0,3\n0,1,2\n1,0,5\n2,2,1\n")
     g = load_adjacency(path, "edge_list")
     assert g.weights.tolist() == [[0.0, 5.0, 0.0], [5.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+def test_distance_gaussian_rejects_non_positive_sigma(tmp_path, sigma):
+    path = write(tmp_path, "dist.csv", "0,1,1\n1,2,2\n")
+    with pytest.raises(DataError, match="sigma"):
+        load_adjacency(path, "distance_gaussian", sigma=sigma)
+
+
+@pytest.mark.parametrize("fmt", ["edge_list", "distance_gaussian"])
+def test_numeric_first_line_is_an_edge_not_a_header(tmp_path, fmt):
+    path = write(tmp_path, "first.csv", "1.5,2,1\n0,1,1\n")
+    with pytest.raises(DataError, match=r"first\.csv:1: bad node id"):
+        load_adjacency(path, fmt)
+    # a header still needs neither of its first two tokens to be a number
+    path = write(tmp_path, "head.csv", "# comment\nfrom,to,w\n0,1,1\n")
+    assert load_adjacency(path, fmt).n == 2

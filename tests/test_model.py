@@ -320,3 +320,25 @@ def test_checkpoint_config_errors_name_file_and_field(tmp_path):
         open(bad, "wb").write(raw[:12] + field_text + raw[16:])
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(bad, g)
+
+
+def test_batch1_forecast_op_budget(monkeypatch):
+    # the benchmark model config on an 8x8 grid: a change that splits the
+    # fused cell step back into separate ops exceeds this budget
+    from stunet import graph
+    from stunet.data import knn_grid_graph
+    from stunet.training import predict_windows
+
+    model = build(STUNetConfig(k=3, p=2, s=2, hidden_sizes=(32, 32, 32)), knn_grid_graph(8, 8))
+    calls = []
+    apply_op = T.apply_op
+
+    def counting(*args):
+        calls.append(1)
+        return apply_op(*args)
+
+    for owner in (T, graph):
+        monkeypatch.setattr(owner, "apply_op", counting)
+    window = np.random.default_rng(0).normal(size=(1, model.config.j, 64, 1))
+    predict_windows(model, window, batch_size=1)
+    assert 0 < len(calls) <= 300

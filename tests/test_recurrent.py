@@ -8,8 +8,8 @@ import pytest
 from conftest import check_gradients, leaf, path_graph, random_graph
 from stunet import tensor as T
 from stunet.data import knn_grid_graph
-from stunet.errors import DimensionError, ModelError, UsageError
-from stunet.graph import ChebKernel, normalized_laplacian
+from stunet.errors import DimensionError, ModelError, NumericError, UsageError
+from stunet.graph import ChebKernel, cheb_basis, kernel_matrix, normalized_laplacian
 from stunet.recurrent import (
     DilationSchedule,
     FoldedCell,
@@ -312,3 +312,114 @@ def test_block_scan_steps_once_per_block(monkeypatch):
                 calls.clear()
                 dilated_layer_forward(w, lap, Tensor(rng.normal(size=(j, 4, 2))), s)
                 assert len(calls) == math.ceil(j / s)
+
+
+def _composite_step(w, mats, lap, x_t, h_prev):
+    """The cell step as 23 separate ops (3 bases, 6 products, 4 adds, 3 bias
+    adds, 2 sigmoids, a tanh, 2 Hadamards, a sub and the layer norm): the
+    reference for the fused op."""
+    mwz, mwr, mwh, muz, mur, muh = mats
+    bx = cheb_basis(lap, x_t, w.order)
+    bh = cheb_basis(lap, h_prev, w.order)
+    z = T.sigmoid(T.add_bias(T.add(T.matmul(bx, mwz), T.matmul(bh, muz)), w.b_z))
+    r = T.sigmoid(T.add_bias(T.add(T.matmul(bx, mwr), T.matmul(bh, mur)), w.b_r))
+    br = cheb_basis(lap, T.hadamard(r, h_prev), w.order)
+    cand = T.tanh(T.add_bias(T.add(T.matmul(bx, mwh), T.matmul(br, muh)), w.b_h))
+    h = T.add(cand, T.hadamard(z, T.sub(h_prev, cand)))
+    if w.ln_gain is not None:
+        h = T.layer_norm(h, w.ln_gain, w.ln_bias)
+    return h
+
+
+def _fold_composite(w):
+    return [kernel_matrix(k) for k in (w.w_z, w.w_r, w.w_h, w.u_z, w.u_r, w.u_h)]
+
+
+def _composite_layer(w, lap, inputs, s):
+    """Reference dilated layer: the composite step once per time step, reading
+    the output of step t-s (the zero state before step s)."""
+    mats = _fold_composite(w)
+    zero = Tensor(np.zeros(inputs.shape[1:-1] + (w.d_h,)))
+    outputs = []
+    for t in range(inputs.shape[0]):
+        h_prev = outputs[t - s] if t - s >= 0 else zero
+        outputs.append(_composite_step(w, mats, lap, T.select_step(inputs, t), h_prev))
+    return T.stack_steps(outputs)
+
+
+def _randomize_biases(w, rng):
+    # zero biases would hide a change in the order of the pre-activation sum
+    extra = [] if w.ln_gain is None else [w.ln_gain, w.ln_bias]
+    for p in [w.b_z, w.b_r, w.b_h] + extra:
+        p.data[...] = rng.normal(size=p.shape)
+
+
+def _outputs_and_grads(run, leaves):
+    T.reset_tape()
+    y = run()
+    T.backward(T._reduce_sum(T.tanh(y)))
+    grads = [p.grad_array() for p in leaves]
+    for p in leaves:
+        p.zero_grad()
+    return y.data, grads
+
+
+@pytest.mark.parametrize("operator", ["dense", "ell"])
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_fused_step_matches_composite_step(operator, layer_norm):
+    g = path_graph(6) if operator == "dense" else knn_grid_graph(10, 10)
+    lap = normalized_laplacian(g)
+    assert (lap.ell is None) == (operator == "dense")
+    w = make_weights(21, layer_norm=layer_norm)
+    rng = np.random.default_rng(22)
+    _randomize_biases(w, rng)
+    for s in (1, 2, 3, 4):
+        for j in (1, s, s + 1, 2 * s + 1, 9):
+            x = Tensor(rng.normal(size=(j, 2, g.n, 2)), requires_grad=True)
+            leaves = [x] + w.params()
+            y_fused, g_fused = _outputs_and_grads(
+                lambda: dilated_layer_forward(w, lap, x, s), leaves
+            )
+            y_ref, g_ref = _outputs_and_grads(lambda: _composite_layer(w, lap, x, s), leaves)
+            assert y_fused.tobytes() == y_ref.tobytes(), (s, j)
+            for a, b in zip(g_fused, g_ref):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (s, j)
+
+
+def test_decoder_matches_composite_step():
+    lap, w, readout, init, go, targets = decoder_fixture(23)
+    _randomize_biases(w, np.random.default_rng(24))
+
+    def composite():
+        mats, h, x, preds = _fold_composite(w), init.h, go, []
+        for _ in range(3):
+            h = _composite_step(w, mats, lap, x, h)
+            x = readout(h)
+            preds.append(x)
+        return T.stack_steps(preds)
+
+    y_fused, g_fused = _outputs_and_grads(
+        lambda: decode(w, lap, init, 3, go, readout), w.params()
+    )
+    y_ref, g_ref = _outputs_and_grads(composite, w.params())
+    assert y_fused.tobytes() == y_ref.tobytes()
+    for a, b in zip(g_fused, g_ref):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize(
+    "kernel, gate", [("u_z", "update/reset gate"), ("u_h", "candidate")]
+)
+def test_non_finite_gate_names_gate_and_block_start(kernel, gate):
+    w = make_weights(25, layer_norm=True)
+    # layer norm with gain 2 puts a state entry of magnitude >= 2 in every
+    # row, so a 1e308 coefficient on T_0 overflows as soon as the state is
+    # nonzero, i.e. from the second block on; b_r = 50 makes r * h ~ h
+    w.ln_gain.data[...] = 2.0
+    w.b_r.data[...] = 50.0
+    getattr(w, kernel).theta.data[0] = 1e308
+    lap = normalized_laplacian(path_graph(5))
+    x = Tensor(np.random.default_rng(26).normal(size=(6, 5, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=f"{gate} pre-activation .* time step 2$"):
+            dilated_layer_forward(w, lap, x, 2)

@@ -420,3 +420,29 @@ def test_reshape_values_and_gradient():
     )
     with pytest.raises(DimensionError):
         T.reshape(x, (5, 5))
+
+
+def test_partial_gradients_never_write_into_a_shared_buffer():
+    # add hands one array to both parents; a later partial (select_step)
+    # gradient for u must not leak into v's gradient through that array
+    x = Tensor(np.array([[0.3, -0.2], [0.5, 0.1]]), requires_grad=True)
+    x2 = Tensor(np.array([[-0.4, 0.2], [0.6, -0.7]]), requires_grad=True)
+    u, v = T.tanh(x), T.tanh(x2)
+    first = T.select_step(u, 0)
+    loss = T.add(T._reduce_sum(T.add(u, v)), T._reduce_sum(first))
+    T.backward(loss)
+    du = 1.0 - np.tanh(x.data) ** 2
+    assert np.array_equal(x.grad, du * np.array([[2.0], [1.0]]))
+    assert np.array_equal(x2.grad, 1.0 - np.tanh(x2.data) ** 2)
+
+
+def test_partial_gradients_accumulate_with_dense_ones():
+    x = leaf((5, 3, 2), seed=9)
+    check_gradients(
+        lambda: T._reduce_sum(T.hadamard(
+            T.tanh(x),
+            T.stack_steps([T.select_step(x, t % 2) for t in range(5)]),
+        )),
+        [x],
+        rel_tol=1e-6,
+    )
