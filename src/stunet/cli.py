@@ -1,5 +1,11 @@
 """Command-line entry point: train, eval, predict, partition, synth,
-ablation, and upsample-compare subcommands over flat key=value configs.
+ablation, and upsample-compare subcommands.
+
+The run commands take flat key=value text from a --config file, then --set
+overrides, then the common flags (COMMON_FLAGS), each source winning over the
+one before. The keys are the fields of STUNetConfig and RunConfig plus the
+data keys of EXTRA_DEFAULTS, and model.parse_field types each value from the
+default of the field it names, as it types checkpoint and manifest text.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ _configure_threads()
 
 import argparse
 import sys
-
-import numpy as np
+from dataclasses import fields
 
 from .data import (
     TimeSeriesDataset,
@@ -40,123 +45,62 @@ from .data import (
     write_manifest,
 )
 from .errors import DataError, StunetError, UsageError
-from .model import STUNetConfig, load_checkpoint, save_checkpoint, variant
+from .model import STUNetConfig, load_checkpoint, parse_field, save_checkpoint, variant
 from .partition import multilevel_partition
 from .training import RunConfig, train_model, write_history
 
-MODEL_INT_FIELDS = ("k", "p", "s", "j", "h", "d_in", "d_out")
-MODEL_BOOL_FIELDS = ("layer_norm",)
-MODEL_STR_FIELDS = ("pool_mode", "unpool_mode")
-RUN_INT_FIELDS = ("epochs", "batch_size", "lr_decay_every", "ha_period")
-RUN_FLOAT_FIELDS = ("lr", "lr_decay", "clip_norm", "ss_tau", "interval_minutes")
-RUN_STR_FIELDS = ("variant", "adj_path", "series_path", "ckpt_path", "out_dir")
-EXTRA_FIELDS = ("adj_format", "gauss_sigma", "gauss_eps", "seeds")
+# keys beyond the two config dataclasses, with the defaults that type them: the
+# adjacency format and Gaussian kernel of load_adjacency, and the experiment
+# drivers' seed list (None: the run's own seed)
+EXTRA_DEFAULTS = {"adj_format": "dense_csv", "gauss_sigma": 1.0, "gauss_eps": 0.0, "seeds": None}
 
-
-def _parse_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"config field '{key}' expects an integer, got {raw!r}") from None
-
-
-def _parse_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(f"config field '{key}' expects a number, got {raw!r}") from None
-
-
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"config field '{key}' expects true/false, got {raw!r}")
-
-
-def _parse_int_tuple(raw: str, key: str) -> tuple:
-    toks = [t for t in raw.replace(" ", "").split(",") if t]
-    if not toks:
-        raise UsageError(f"config field '{key}' expects a comma list of integers")
-    return tuple(_parse_int(t, key) for t in toks)
+# the flags every run command shares: flag, the config key it sets, help text
+COMMON_FLAGS = (
+    ("--adj", "adj_path", "adjacency file path"),
+    ("--series", "series_path", "series CSV path"),
+    ("--ckpt", "ckpt_path", "checkpoint path"),
+    ("--out", "out_dir", "output directory (or file for predict)"),
+    ("--seed", "seed", "seed override"),
+    ("--variant", "variant", "GCGRU, T-UNet, S-UNet, or ST-UNet"),
+    ("--horizons", "horizons", "comma list of metric steps, e.g. 3,6,12"),
+)
 
 
 def parse_config_file(path: str) -> dict:
     """Flat key=value lines; blank lines and # comments ignored."""
-    mapping = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            key, value = text.split("=", 1)
-            mapping[key.strip()] = value.strip()
-    return mapping
+    return read_manifest(path, UsageError)
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name != "model"}
 
 
 def run_config_from_mapping(mapping: dict):
-    """(RunConfig, extras) from flat keys; unknown keys name the field."""
-    model_kwargs = {}
-    run_kwargs = {}
-    extras = {}
+    """(RunConfig, extras) from flat text keys, each typed from the default of
+    the field it names. ``seed`` names a field of both dataclasses and sets
+    both; an unknown key raises UsageError naming it."""
+    tables = [(_defaults(STUNetConfig), {}), (_defaults(RunConfig), {}), (EXTRA_DEFAULTS, {})]
     for key, raw in mapping.items():
-        if key == "seed":
-            value = _parse_int(raw, key)
-            model_kwargs["seed"] = value
-            run_kwargs["seed"] = value
-        elif key == "hidden_sizes":
-            model_kwargs["hidden_sizes"] = _parse_int_tuple(raw, key)
-        elif key in MODEL_INT_FIELDS:
-            model_kwargs[key] = _parse_int(raw, key)
-        elif key in MODEL_BOOL_FIELDS:
-            model_kwargs[key] = _parse_bool(raw, key)
-        elif key in MODEL_STR_FIELDS:
-            model_kwargs[key] = raw
-        elif key == "horizons":
-            run_kwargs["horizons"] = _parse_int_tuple(raw, key)
-        elif key in RUN_INT_FIELDS:
-            run_kwargs[key] = _parse_int(raw, key)
-        elif key in RUN_FLOAT_FIELDS:
-            run_kwargs[key] = _parse_float(raw, key)
-        elif key in RUN_STR_FIELDS:
-            run_kwargs[key] = raw
-        elif key in EXTRA_FIELDS:
-            extras[key] = raw
-        else:
+        owners = [(defaults[key], values) for defaults, values in tables if key in defaults]
+        if not owners:
             raise UsageError(f"unknown config field '{key}'")
-    rc = RunConfig(model=STUNetConfig(**model_kwargs), **run_kwargs)
-    return rc, extras
+        for default, values in owners:
+            values[key] = parse_field(key, raw, default, UsageError)
+    (_, model_kwargs), (_, run_kwargs), (_, extras) = tables
+    return RunConfig(model=STUNetConfig(**model_kwargs), **run_kwargs), extras
 
 
 def _mapping_from_args(args) -> dict:
+    """The config file, then --set overrides, then the common flags."""
     mapping = parse_config_file(args.config) if args.config else {}
-    for item in getattr(args, "overrides", None) or []:
-        if "=" not in item:
+    for item in args.overrides:
+        key, eq, value = item.partition("=")
+        if not eq:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    if getattr(args, "adj", None):
-        mapping["adj_path"] = args.adj
-    if getattr(args, "series", None):
-        mapping["series_path"] = args.series
-    if getattr(args, "ckpt", None):
-        mapping["ckpt_path"] = args.ckpt
-    if getattr(args, "out", None):
-        mapping["out_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        mapping["seed"] = str(args.seed)
-    if getattr(args, "variant", None):
-        mapping["variant"] = args.variant
-    if getattr(args, "horizons", None):
-        mapping["horizons"] = args.horizons
+    for _, key, _ in COMMON_FLAGS:
+        if getattr(args, key):
+            mapping[key] = getattr(args, key)
     return mapping
 
 
@@ -168,10 +112,10 @@ def _require(value: str, hint: str) -> str:
 
 def _load_graph(rc: RunConfig, extras: dict):
     adj = _require(rc.adj_path, "adjacency path (--adj or adj_path=)")
-    fmt = extras.get("adj_format", "dense_csv")
-    sigma = _parse_float(extras.get("gauss_sigma", "1.0"), "gauss_sigma")
-    eps = _parse_float(extras.get("gauss_eps", "0.0"), "gauss_eps")
-    return load_adjacency(adj, fmt, sigma=sigma, eps=eps)
+    opts = {**EXTRA_DEFAULTS, **extras}
+    return load_adjacency(
+        adj, opts["adj_format"], sigma=opts["gauss_sigma"], eps=opts["gauss_eps"]
+    )
 
 
 def _load_dataset(rc: RunConfig, extras: dict) -> TimeSeriesDataset:
@@ -235,7 +179,7 @@ def cmd_predict(args) -> int:
     from .training import predict_windows  # a call-time lookup, so a tracer can wrap it
 
     pred = predict_windows(model, ((window - mean) / std)[None])[0] * std + mean
-    out_path = args.out or "forecast.csv"
+    out_path = args.out_dir or "forecast.csv"
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     save_series(out_path, pred)
     print(f"forecast ({pred.shape[0]} steps x {g.n} nodes) written to {out_path}")
@@ -263,31 +207,19 @@ def cmd_synth(args) -> int:
         "t": args.t,
         "alpha": args.alpha,
         "noise_sigma": args.noise_sigma,
-        "seed": args.seed if args.seed is not None else 0,
+        "seed": args.seed,
         "mode": args.mode,
         "interval_minutes": args.interval,
     }
     if args.manifest:
         stored = read_manifest(args.manifest)
+        where = f"{args.manifest}: "
         for key, default in params.items():  # each keeps its option's type
             if key not in stored:
-                raise DataError(f"{args.manifest}: manifest has no {key!r}")
-            try:
-                params[key] = type(default)(stored[key])
-            except ValueError:
-                raise DataError(
-                    f"{args.manifest}: manifest field {key!r} has bad value {stored[key]!r}"
-                ) from None
+                raise DataError(f"{where}manifest has no {key!r}")
+            params[key] = parse_field(key, stored[key], default, DataError, where)
     g = knn_grid_graph(params["rows"], params["cols"])
-    ds = synth_diffusion(
-        g,
-        t=params["t"],
-        alpha=params["alpha"],
-        noise_sigma=params["noise_sigma"],
-        seed=params["seed"],
-        mode=params["mode"],
-        interval_minutes=params["interval_minutes"],
-    )
+    ds = synth_diffusion(g, **{k: v for k, v in params.items() if k not in ("rows", "cols")})
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     save_adjacency_dense(os.path.join(out, "adjacency.csv"), g)
@@ -307,8 +239,7 @@ def _write_comparison(args, runner, report: str) -> int:
     rc, extras = run_config_from_mapping(_mapping_from_args(args))
     rc.validate()
     ds = _load_dataset(rc, extras)
-    seeds = _parse_int_tuple(extras["seeds"], "seeds") if "seeds" in extras else None
-    table = runner(rc, ds, seeds)
+    table = runner(rc, ds, extras.get("seeds"))
     paths = write_report_files(_out_dir(rc), report, table.render_text(), table.render_csv())
     print(table.render_text(), end="")
     print(f"report written to {paths[0]} and {paths[1]}")
@@ -330,13 +261,8 @@ def cmd_upsample_compare(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--adj", help="adjacency file path")
-    common.add_argument("--series", help="series CSV path")
-    common.add_argument("--ckpt", help="checkpoint path")
-    common.add_argument("--out", help="output directory (or file for predict)")
-    common.add_argument("--seed", type=int, help="seed override")
-    common.add_argument("--variant", help="GCGRU, T-UNet, S-UNet, or ST-UNet")
-    common.add_argument("--horizons", help="comma list of metric steps, e.g. 3,6,12")
+    for flag, key, text in COMMON_FLAGS:
+        common.add_argument(flag, dest=key, help=text)
     common.add_argument(
         "--set",
         action="append",
@@ -369,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--noise-sigma", type=float, default=0.05, dest="noise_sigma")
     synth.add_argument("--mode", default="row", choices=("row", "symmetric"))
     synth.add_argument("--interval", type=float, default=5.0)
-    synth.add_argument("--seed", type=int, default=None)
+    synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--manifest", help="regenerate from an existing manifest")
     synth.add_argument("--out", help="output directory")
     synth.set_defaults(fn=cmd_synth)
@@ -386,10 +312,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except StunetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (StunetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -163,12 +163,12 @@ def _parse_row(toks: list, path: str, lineno: int) -> np.ndarray:
     return row
 
 
-def _data_lines(path: str):
+def _data_lines(path: str, error: type = DataError):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().splitlines()
     except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+        raise error(f"{path}: {exc.strerror or exc}") from exc
     out = []
     for lineno, line in enumerate(raw, start=1):
         line = line.strip()
@@ -298,13 +298,15 @@ def write_manifest(path: str, fields: dict) -> None:
             fh.write(f"{key}={fields[key]}\n")
 
 
-def read_manifest(path: str) -> dict:
+def read_manifest(path: str, error: type = DataError) -> dict:
+    """Flat key=value lines of a manifest, or of a run's config file; blank
+    lines and # comments are skipped. Callers type the text values."""
     out = {}
-    for lineno, line in _data_lines(path):
-        if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected key=value")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+    for lineno, line in _data_lines(path, error):
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
+        out[key.strip()] = value.strip()
     return out
 
 

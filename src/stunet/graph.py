@@ -307,14 +307,24 @@ def cheb_basis(lap: GraphLaplacian, x: Tensor, order: int) -> Tensor:
     return apply_op(out, (x,), lambda g: (lap.basis_transpose(g, order),))
 
 
+def cheb_filter(kernel: ChebKernel, lap: GraphLaplacian):
+    """``cheb_conv`` with the kernel folded once, for a filter applied to
+    many signals: returns the map x -> sum_k T_k(L~) x theta_k^T."""
+    folded = kernel_matrix(kernel)
+
+    def conv(x: Tensor) -> Tensor:
+        if x.data.shape[-1] != kernel.c_in:
+            raise DimensionError(
+                f"signal channels {x.data.shape[-1]} != kernel C_in {kernel.c_in}"
+            )
+        return T.matmul(cheb_basis(lap, x, kernel.order), folded)
+
+    return conv
+
+
 def cheb_conv(kernel: ChebKernel, lap: GraphLaplacian, x: Tensor) -> Tensor:
     """K-localized graph convolution: sum_k T_k(L~) x theta_k^T."""
-    if x.data.shape[-1] != kernel.c_in:
-        raise DimensionError(
-            f"signal channels {x.data.shape[-1]} != kernel C_in {kernel.c_in}"
-        )
-    basis = cheb_basis(lap, x, kernel.order)
-    return T.matmul(basis, kernel_matrix(kernel))
+    return cheb_filter(kernel, lap)(x)
 
 
 def spectral_conv_oracle(

@@ -11,7 +11,7 @@ degenerates to a plain stacked-GCGRU seq2seq and is built as exactly that.
 
 from __future__ import annotations
 
-import io
+import os
 import struct
 from dataclasses import dataclass, fields, replace
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CheckpointError, DimensionError, ModelError, UsageError
-from .graph import ChebKernel, Graph, GraphLaplacian, cheb_conv, normalized_laplacian
+from .graph import ChebKernel, Graph, GraphLaplacian, cheb_filter, normalized_laplacian
 from .partition import PartitionMap, multilevel_partition
 from .recurrent import (
     DilationSchedule,
@@ -84,10 +84,6 @@ class STUNetConfig:
         """No pooling and no dilation: the U collapses to a layer stack."""
         return self.p == 0 and self.s == 1
 
-    @property
-    def depth(self) -> int:
-        return len(self.hidden_sizes) - 1
-
     def to_lines(self) -> str:
         return "".join(
             f"{f.name}={_TO_TEXT.get(type(f.default), str)(getattr(self, f.name))}\n"
@@ -97,28 +93,49 @@ class STUNetConfig:
     @classmethod
     def from_lines(cls, text: str) -> "STUNetConfig":
         kv = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
+        for line in filter(None, map(str.strip, text.splitlines())):
+            key, eq, val = line.partition("=")
+            if not eq:
                 raise CheckpointError(f"bad config line {line!r}")
-            key, val = line.split("=", 1)
             kv[key] = val
         values = {}
         for f in fields(cls):
             if f.name not in kv:
                 raise CheckpointError(f"config block missing key {f.name!r}")
-            try:
-                values[f.name] = _FROM_TEXT.get(type(f.default), type(f.default))(kv[f.name])
-            except ValueError:
-                raise CheckpointError(f"config field {f.name}={kv[f.name]!r} is malformed") from None
+            values[f.name] = parse_field(f.name, kv[f.name], f.default, CheckpointError)
         return cls(**values)
 
 
-# config block text of the field types that str() and the type's own parse do not round-trip
+# config text of the field types that str() and the type's own parse do not round-trip
 _TO_TEXT = {tuple: lambda v: ",".join(str(int(c)) for c in v), bool: lambda v: str(int(v))}
-_FROM_TEXT = {tuple: lambda t: tuple(int(c) for c in t.split(",")), bool: lambda t: bool(int(t))}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _int_tuple(text: str) -> tuple:
+    values = tuple(int(c) for c in text.replace(" ", "").split(",") if c)
+    if not values:
+        raise ValueError(text)
+    return values
+
+
+_FROM_TEXT = {tuple: _int_tuple, bool: lambda t: _BOOL_WORDS[t.strip().lower()]}
+_EXPECTS = {int: "an integer", float: "a number", bool: "true or false",
+            tuple: "a comma list of integers"}
+
+
+def parse_field(name: str, text: str, default, error: type, where: str = ""):
+    """Command-line, checkpoint or manifest text of field ``name`` as a value of
+    its default's type (a None default, as of ``horizons``, means a tuple). A
+    bad value raises ``error``, prefixed by ``where``, naming field and text."""
+    kind = tuple if default is None else type(default)
+    try:
+        return _FROM_TEXT.get(kind, kind)(text)
+    except (ValueError, KeyError):
+        raise error(
+            f"{where}config field {name}={text!r} is malformed: "
+            f"{name!r} expects {_EXPECTS[kind]}"
+        ) from None
 
 
 def variant(config: STUNetConfig, which: str) -> STUNetConfig:
@@ -190,7 +207,8 @@ class STUNet:
         reg = self.params.register
         self.enc_layers = []
         widths = [cfg.d_in] + [int(c) for c in cfg.hidden_sizes]
-        for k in range(len(cfg.hidden_sizes)):
+        hidden = widths[1:]
+        for k in range(len(hidden)):
             w = init_gcgru_weights(rng, cfg.k, widths[k], widths[k + 1], cfg.layer_norm)
             self._register_cell(f"enc{k}", w)
             self.enc_layers.append(w)
@@ -198,8 +216,7 @@ class STUNet:
         self.up_layers: list = []
         self.unpools: list = []
         if not cfg.is_plain_stack:
-            hidden = [int(c) for c in cfg.hidden_sizes]
-            for k in range(cfg.depth - 1, -1, -1):
+            for k in reversed(range(len(hidden) - 1)):
                 if k < cfg.p:
                     up = init_unpool(rng, cfg.unpool_mode, hidden[k + 1])
                     for i, t in enumerate(up.params()):
@@ -213,7 +230,8 @@ class STUNet:
                 self.unpools.insert(0, up)
                 self.up_fuse.insert(0, fuse)
                 self.up_layers.insert(0, cell)
-        dec_width = self._decoder_width()
+        # the plain stack decodes from its last layer, the U from its stage-0 up layer
+        dec_width = hidden[-1] if cfg.is_plain_stack else hidden[0]
         self.dec = init_gcgru_weights(rng, cfg.k, cfg.d_out, dec_width, cfg.layer_norm)
         self._register_cell("dec", self.dec)
         self.readout_k = ChebKernel.init(rng, cfg.k, cfg.d_out, dec_width)
@@ -229,16 +247,7 @@ class STUNet:
         for name, t in zip(names, w.params()):
             self.params.register(f"{prefix}.{name}", t)
 
-    def _decoder_width(self) -> int:
-        cfg = self.config
-        if cfg.is_plain_stack:
-            return int(cfg.hidden_sizes[-1])
-        return int(cfg.hidden_sizes[0])
-
     # -- forward -----------------------------------------------------------
-
-    def readout(self, h: Tensor) -> Tensor:
-        return T.add_bias(cheb_conv(self.readout_k, self.laps[0], h), self.readout_b)
 
     def forward(
         self,
@@ -259,7 +268,7 @@ class STUNet:
             )
         stages = len(cfg.hidden_sizes)
         dilations = [cfg.s ** k for k in range(stages)]
-        enc_outs, enc_finals = encode(
+        enc_outs = encode(
             self.enc_layers,
             [self._lap_at_stage(k) for k in range(stages)],
             inputs,
@@ -268,25 +277,22 @@ class STUNet:
             pool_mode=cfg.pool_mode,
             pool_levels=cfg.p,
         )
-        if cfg.is_plain_stack:
-            dec_init = enc_finals[-1]
-        else:
-            x = enc_outs[-1]
-            for k in range(cfg.depth - 1, -1, -1):
-                if k < cfg.p:
-                    x = unpool(x, self.pm, self.unpools[k], from_level=k + 1, to_level=k)
-                x = skip_concat(x, enc_outs[k])
-                x = T.matmul(x, self.up_fuse[k])
-                x = dilated_layer_forward(self.up_layers[k], self._lap_at_stage(k), x, 1)
-            dec_init = GCGRUState(T.select_step(x, cfg.j - 1))
+        x = enc_outs[-1]
+        for k in reversed(range(len(self.up_layers))):  # none in the plain stack
+            if k < cfg.p:
+                x = unpool(x, self.pm, self.unpools[k], from_level=k + 1, to_level=k)
+            x = skip_concat(x, enc_outs[k])
+            x = T.matmul(x, self.up_fuse[k])
+            x = dilated_layer_forward(self.up_layers[k], self._lap_at_stage(k), x, 1)
+        conv = cheb_filter(self.readout_k, self.laps[0])  # one kernel fold per forward
         go = Tensor(np.zeros(inputs.data.shape[1:-1] + (cfg.d_out,)))
         return decode(
             self.dec,
             self.laps[0],
-            dec_init,
+            GCGRUState(T.select_step(x, cfg.j - 1)),
             cfg.h,
             go,
-            self.readout,
+            lambda h: T.add_bias(conv(h), self.readout_b),
             eps=eps,
             targets=targets,
             rng=rng,
@@ -319,22 +325,28 @@ def loss(pred: Tensor, target: Tensor) -> Tensor:
 def save_checkpoint(model: STUNet, path: str) -> None:
     """Bit-exact container: magic, version, config text block, then every
     registered tensor in registration order."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    cfg_block = model.config.to_lines().encode("utf-8")
-    buf.write(struct.pack("<I", len(cfg_block)))
-    buf.write(cfg_block)
-    for name, t in model.params.entries:
-        nb = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<I", t.data.ndim))
-        for extent in t.data.shape:
-            buf.write(struct.pack("<I", extent))
-        buf.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    # written beside the target and renamed over it, so a save that fails
+    # halfway leaves the previous file whole
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            cfg_block = model.config.to_lines().encode("utf-8")
+            fh.write(struct.pack("<I", len(cfg_block)))
+            fh.write(cfg_block)
+            for name, t in model.params.entries:
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<I", t.data.ndim))
+                for extent in t.data.shape:
+                    fh.write(struct.pack("<I", extent))
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -344,28 +356,29 @@ def _read_exact(fh, n: int) -> bytes:
     return b
 
 
+def _read_header(fh, path: str) -> STUNetConfig:
+    """Magic, version and config block; leaves ``fh`` at the first tensor."""
+    if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic bytes")
+    (version,) = struct.unpack("<I", _read_exact(fh, 4))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version}")
+    (n,) = struct.unpack("<I", _read_exact(fh, 4))
+    try:
+        return STUNetConfig.from_lines(_read_exact(fh, n).decode("utf-8"))
+    except (UnicodeDecodeError, CheckpointError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
 def read_checkpoint_config(path: str) -> STUNetConfig:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic bytes")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        (n,) = struct.unpack("<I", _read_exact(fh, 4))
-        try:
-            return STUNetConfig.from_lines(_read_exact(fh, n).decode("utf-8"))
-        except (UnicodeDecodeError, CheckpointError) as exc:
-            raise CheckpointError(f"{path}: {exc}") from None
+        return _read_header(fh, path)
 
 
 def load_checkpoint(path: str, graph: Graph) -> STUNet:
     """Rebuild the model from the stored config and restore every tensor."""
-    config = read_checkpoint_config(path)
-    model = build(config, graph)
     with open(path, "rb") as fh:
-        fh.seek(4 + 4)
-        (n,) = struct.unpack("<I", _read_exact(fh, 4))
-        fh.seek(n, 1)
+        model = build(_read_header(fh, path), graph)
         for name, t in model.params.entries:
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
             stored = _read_exact(fh, name_len).decode("utf-8", "replace")

@@ -223,7 +223,9 @@ class FoldedCell:
             drh = lap.basis_transpose(T.flat_matmul(dc, uh.T), k)
             np.multiply(drh * hp, r * (1.0 - r), out=gx[..., d : 2 * d])
             dzr = gx[..., : 2 * d]
-            dh_prev = gz + drh * r + lap.basis_transpose(T.flat_matmul(dzr, uzr.T), k)
+            dh_prev = None  # the zero state a layer starts from takes no gradient
+            if h_prev.requires_grad:
+                dh_prev = gz + drh * r + lap.basis_transpose(T.flat_matmul(dzr, uzr.T), k)
             return (
                 gx if rows is None else (rows, gx),
                 dh_prev,
@@ -309,25 +311,22 @@ def encode(
 
     Layer k consumes the (possibly pooled) output of layer k-1 using laps[k]
     and dilation schedule.dilations[k]; after layer k the signal is pooled one
-    spatial level when k < pool_levels. Returns (per-layer output sequences,
-    per-layer final states); the sequences feed skip connections, the last
-    final state seeds the decoder.
+    spatial level when k < pool_levels. Returns the per-layer output
+    sequences, which feed the skip connections.
     """
     if len(layers) != len(laps) or len(layers) != len(schedule.dilations):
         raise ModelError("layers, laplacians and dilations must align")
     if pool_levels > 0 and pm is None:
         raise ModelError("pooling requested without a partition hierarchy")
     outputs = []
-    finals = []
     x = inputs
     for k, w in enumerate(layers):
         y = dilated_layer_forward(w, laps[k], x, schedule.dilations[k])
         outputs.append(y)
-        finals.append(GCGRUState(T.select_step(y, y.data.shape[0] - 1)))
         x = y
         if k < pool_levels and k + 1 < len(layers):
             x = st_pool_spatial(x, pm, pool_mode, from_level=k, to_level=k + 1)
-    return outputs, finals
+    return outputs
 
 
 def decode(

@@ -32,7 +32,6 @@ class RunConfig:
     seed: int = 0
     variant: str = "ST-UNet"
     horizons: tuple | None = None  # metric steps, 1-based; None = every step
-    ha_period: int | None = None
     interval_minutes: float = 5.0
     adj_path: str = ""
     series_path: str = ""

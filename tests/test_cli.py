@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from stunet import cli
 from stunet.data import load_series
 from stunet.errors import UsageError
 from stunet.evaluate import model_predictions
-from stunet.model import load_checkpoint
+from stunet.model import STUNetConfig, load_checkpoint
+from stunet.training import RunConfig
 from stunet.data import load_adjacency, TimeSeriesDataset
 
 
@@ -45,6 +47,37 @@ def test_run_config_from_mapping_types():
     assert rc.horizons == (1, 2)
     assert rc.variant == "S-UNet"
     assert extras == {"adj_format": "edge_list"}
+
+
+def test_every_config_field_reads_back_from_set():
+    # field: (--set text, value), each value different from the field's default
+    values = {
+        "k": ("4", 4), "p": ("1", 1), "s": ("3", 3), "hidden_sizes": ("8, 16", (8, 16)),
+        "pool_mode": ("mean", "mean"), "unpool_mode": ("weighted_deconv", "weighted_deconv"),
+        "layer_norm": ("off", False), "j": ("7", 7), "h": ("5", 5), "d_in": ("2", 2),
+        "d_out": ("3", 3), "seed": ("11", 11), "epochs": ("6", 6), "batch_size": ("9", 9),
+        "lr": ("0.02", 0.02), "lr_decay": ("0.5", 0.5), "lr_decay_every": ("3", 3),
+        "clip_norm": ("2.5", 2.5), "ss_tau": ("50", 50.0), "variant": ("S-UNet", "S-UNet"),
+        "horizons": ("1,3", (1, 3)), "interval_minutes": ("15", 15.0),
+        "adj_path": ("a.csv", "a.csv"), "series_path": ("s.csv", "s.csv"),
+        "ckpt_path": ("m.ckpt", "m.ckpt"), "out_dir": ("runs", "runs"),
+    }
+    model_fields = {f.name: f.default for f in fields(STUNetConfig)}
+    run_fields = {f.name: f.default for f in fields(RunConfig) if f.name != "model"}
+    assert set(values) == set(model_fields) | set(run_fields)
+    argv = ["train"]
+    for key, (text, _) in values.items():
+        argv += ["--set", f"{key}={text}"]
+    rc, extras = cli.run_config_from_mapping(
+        cli._mapping_from_args(cli.build_parser().parse_args(argv))
+    )
+    assert extras == {}
+    for key, (_, want) in values.items():
+        for owner, defaults in ((rc.model, model_fields), (rc, run_fields)):
+            if key in defaults:
+                got = getattr(owner, key)
+                assert got == want and type(got) is type(want), key
+                assert want != defaults[key], key
 
 
 def test_run_config_rejects_unknown_and_bad_values():

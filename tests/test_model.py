@@ -264,6 +264,43 @@ def test_checkpoint_rejects_version_and_shape_mismatch(tmp_path):
         load_checkpoint(warped, g)
 
 
+def test_interrupted_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    from stunet import model as model_module
+
+    g = tiny_graph(seed=14)
+    _, path = checkpoint_roundtrip(str(tmp_path), tiny_config(), g)
+    before = open(path, "rb").read()
+    real_open = open
+
+    class HalfWriter:
+        """A file that takes half the checkpoint's bytes, then fails."""
+
+        def __init__(self, fh):
+            self.fh, self.room = fh, len(before) // 2
+
+        def write(self, data):
+            if len(data) > self.room:
+                self.fh.write(data[: self.room])
+                raise OSError("no space left on device")
+            self.room -= len(data)
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(
+        model_module, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)), raising=False
+    )
+    with pytest.raises(OSError):
+        save_checkpoint(build(tiny_config(seed=5), g), path)
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
 def test_checkpoint_weights_are_graph_agnostic(tmp_path):
     # kernel parameters carry no node extent, so a checkpoint reloads cleanly
     # against a different graph of any size

@@ -9,7 +9,7 @@ from conftest import check_gradients, leaf, path_graph, random_graph
 from stunet import tensor as T
 from stunet.data import knn_grid_graph
 from stunet.errors import DimensionError, ModelError, NumericError, UsageError
-from stunet.graph import ChebKernel, cheb_basis, kernel_matrix, normalized_laplacian
+from stunet.graph import ChebKernel, GraphLaplacian, cheb_basis, kernel_matrix, normalized_laplacian
 from stunet.recurrent import (
     DilationSchedule,
     FoldedCell,
@@ -184,13 +184,11 @@ def test_encode_pools_between_layers():
         init_gcgru_weights(rng, 2, 3, 4),
     ]
     seq = Tensor(rng.normal(size=(5, 8, 2)))
-    outputs, finals = encode(
+    outputs = encode(
         layers, laps, seq, DilationSchedule([1, 2]), pm=pm, pool_levels=1
     )
     assert outputs[0].shape == (5, 8, 3)
     assert outputs[1].shape == (5, pm.graphs[1].n, 4)
-    assert finals[1].h.shape == (pm.graphs[1].n, 4)
-    assert np.array_equal(finals[0].h.data, outputs[0].data[-1])
 
 
 def test_encode_without_partition_rejects_pooling():
@@ -312,6 +310,23 @@ def test_block_scan_steps_once_per_block(monkeypatch):
                 calls.clear()
                 dilated_layer_forward(w, lap, Tensor(rng.normal(size=(j, 4, 2))), s)
                 assert len(calls) == math.ceil(j / s)
+
+
+def test_zero_start_state_gets_no_gradient(monkeypatch):
+    # one block (s >= steps) starts from the constant zero state: its backward
+    # runs one Clenshaw recursion for the reset gate and one for the input's
+    # basis, and none for a state gradient nothing reads
+    calls = []
+    transpose = GraphLaplacian.basis_transpose
+    monkeypatch.setattr(
+        GraphLaplacian, "basis_transpose",
+        lambda self, *a: calls.append(1) or transpose(self, *a),
+    )
+    lap = normalized_laplacian(path_graph(4))
+    x = leaf((2, 4, 2), seed=15)
+    T.backward(T._reduce_sum(dilated_layer_forward(make_weights(16), lap, x, 2)))
+    assert len(calls) == 2
+    assert x.grad_array().shape == x.shape
 
 
 def _composite_step(w, mats, lap, x_t, h_prev):
