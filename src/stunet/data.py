@@ -2,7 +2,9 @@
 
 Series files are CSV with T rows and N*D columns, node-major (node0_f0,
 node0_f1, ..., node1_f0, ...). Adjacency comes as a dense matrix, an edge
-list, or a distance list mapped through a Gaussian kernel. The synthetic
+list, or a distance list mapped through a Gaussian kernel. A first line is a
+header only when it holds no number; series and dense matrices are parsed in
+one call, and row by row only to name a bad line. The synthetic
 generator runs a noisy diffusion on a graph so that the future of each node
 depends on its neighbors, structure a graph-aware forecaster can exploit.
 """
@@ -149,18 +151,28 @@ def _parse_float(tok: str, path: str, lineno: int) -> float:
     return v
 
 
-def _parse_row(toks: list, path: str, lineno: int) -> np.ndarray:
-    """One line of number tokens as a float array, converted in one call.
-
-    Only a row that fails is parsed token by token, to name the bad token.
-    """
+def _parse_table(lines: list, path: str, width: int | None = None) -> np.ndarray:
+    """Data lines as one (rows, columns) array, parsed in one call. Only if
+    that fails, or yields a non-finite value or not ``width`` columns, are the
+    lines parsed row by row, to raise DataError naming the line and token."""
+    if not any(map(_is_number, lines[0][1].split(","))):
+        lines = lines[1:]  # a header: none of its tokens is a number
+    if not lines:
+        raise DataError(f"{path}: no data rows")
     try:
-        row = np.array(toks, dtype=np.float64)
+        table = np.loadtxt([line for _, line in lines], delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        row = None
-    if row is None or not np.all(np.isfinite(row)):
-        row = np.array([_parse_float(t.strip(), path, lineno) for t in toks])
-    return row
+        table = None
+    if table is not None and np.all(np.isfinite(table)) and width in (None, table.shape[1]):
+        return table
+    rows = []
+    for lineno, line in lines:
+        toks = line.split(",")
+        expected = width or (len(rows[0]) if rows else len(toks))
+        if len(toks) != expected:
+            raise DataError(f"{path}:{lineno}: expected {expected} columns, got {len(toks)}")
+        rows.append([_parse_float(t.strip(), path, lineno) for t in toks])
+    return np.array(rows)
 
 
 def _data_lines(path: str, error: type = DataError):
@@ -199,18 +211,8 @@ def load_adjacency(
     if not lines:
         raise DataError(f"{path}: empty adjacency file")
     if fmt == "dense_csv":
-        rows = []
-        for lineno, line in lines:
-            toks = line.split(",")
-            if not rows and not _is_number(toks[0]):
-                continue  # header
-            if rows and len(toks) != len(rows[0]):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(toks)}"
-                )
-            rows.append(_parse_row(toks, path, lineno))
-        w = np.asarray(rows)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        w = _parse_table(lines, path)
+        if w.shape[0] != w.shape[1]:
             raise DataError(f"{path}: dense adjacency must be square, got {w.shape}")
         gap = np.abs(w - w.T).max(initial=0.0)
         if gap > 1e-8:
@@ -265,19 +267,8 @@ def load_series(path: str, n: int, d: int = 1) -> np.ndarray:
     lines = _data_lines(path)
     if not lines:
         raise DataError(f"{path}: empty series file")
-    rows = []
-    for lineno, line in lines:
-        toks = line.split(",")
-        if not rows and not _is_number(toks[0]):
-            continue  # header
-        if len(toks) != n * d:
-            raise DataError(
-                f"{path}:{lineno}: expected {n * d} columns, got {len(toks)}"
-            )
-        rows.append(_parse_row(toks, path, lineno))
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.asarray(rows).reshape(len(rows), n, d)
+    rows = _parse_table(lines, path, n * d)
+    return rows.reshape(len(rows), n, d)
 
 
 def save_series(path: str, series: np.ndarray) -> None:

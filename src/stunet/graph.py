@@ -230,16 +230,16 @@ def _ell_operator(m: np.ndarray):
     return idx, wts
 
 
-def normalized_laplacian(g: Graph) -> GraphLaplacian:
+def normalized_laplacian(g: Graph, lambda_max: float | None = None) -> GraphLaplacian:
     """L = I - D^{-1/2} W D^{-1/2}; zero-degree nodes yield identity rows.
-    The largest eigenvalue is computed exactly."""
+    The largest eigenvalue is computed exactly unless ``lambda_max`` gives it."""
     deg = g.degrees()
     inv_sqrt = np.zeros_like(deg)
     pos = deg > 0
     inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
     lap = np.eye(g.n) - (inv_sqrt[:, None] * g.weights) * inv_sqrt[None, :]
     lap = 0.5 * (lap + lap.T)  # kill rounding asymmetry
-    return GraphLaplacian(lap, estimate_lambda_max(lap))
+    return GraphLaplacian(lap, estimate_lambda_max(lap) if lambda_max is None else lambda_max)
 
 
 def estimate_lambda_max(lap: np.ndarray) -> float:

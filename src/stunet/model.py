@@ -7,10 +7,17 @@ encoder sequence, reconcile channels with a linear map, and run an undilated
 GCGRU. A plain seq2seq decoder rolls out the horizon from the final state,
 with a Chebyshev-convolution readout per step. With p=0 and s=1 the network
 degenerates to a plain stacked-GCGRU seq2seq and is built as exactly that.
+
+A checkpoint stores the config, every tensor and, since version 2, the
+partition and λmax of the training graph under its fingerprint, so a load on
+that graph derives neither again.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import math
 import os
 import struct
 from dataclasses import dataclass, fields, replace
@@ -18,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .errors import CheckpointError, DimensionError, ModelError, UsageError
+from .errors import CheckpointError, DimensionError, ModelError, StunetError, UsageError
 from .graph import ChebKernel, Graph, GraphLaplacian, cheb_filter, normalized_laplacian
 from .partition import PartitionMap, multilevel_partition
 from .recurrent import (
@@ -37,12 +44,12 @@ from .sampling import (
     skip_concat,
     unpool,
 )
-from .tensor import Tensor
+from .tensor import Tensor, member_table
 
 VARIANTS = ("GCGRU", "T-UNet", "S-UNet", "ST-UNet")
 
 CHECKPOINT_MAGIC = b"STUN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 files, which hold no graph block, still load
 
 
 @dataclass(frozen=True)
@@ -174,19 +181,20 @@ class STUNetParams:
 
 
 class STUNet:
-    """Built model: parameters plus the cached partition and Laplacians."""
+    """Built model: parameters plus the cached partition and Laplacians, which
+    ``derived`` (stored partition parents, λmax per level) spares deriving."""
 
-    def __init__(self, config: STUNetConfig, graph: Graph):
+    def __init__(self, config: STUNetConfig, graph: Graph, derived: tuple | None = None):
         config.validate()
         self.config = config
         self.graph = graph
+        parents, lambdas = derived or (None, [None] * (config.p + 1))
         self.pm: PartitionMap | None = None
         if config.p > 0:
-            self.pm = multilevel_partition(graph, config.p)
-            graphs = self.pm.graphs
-        else:
-            graphs = [graph]
-        self.laps = [normalized_laplacian(g) for g in graphs]
+            self.pm = (multilevel_partition(graph, config.p) if parents is None
+                       else PartitionMap.from_parents(graph, parents))
+        graphs = self.pm.graphs if self.pm else [graph]
+        self.laps = [normalized_laplacian(g, lam) for g, lam in zip(graphs, lambdas)]
         self.params = STUNetParams(entries=[], buffer_names=set())
         self._init_params(np.random.default_rng(config.seed))
         # persistent normalization buffers, identity until a trainer fits them
@@ -302,9 +310,9 @@ class STUNet:
         return self.params.trainable()
 
 
-def build(config: STUNetConfig, graph: Graph) -> STUNet:
+def build(config: STUNetConfig, graph: Graph, derived: tuple | None = None) -> STUNet:
     """Partition, precompute Laplacians, and draw all parameters from seed."""
-    return STUNet(config, graph)
+    return STUNet(config, graph, derived)
 
 
 def loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -322,12 +330,22 @@ def loss(pred: Tensor, target: Tensor) -> Tensor:
 # -- checkpoint container ---------------------------------------------------
 
 
+def _graph_fingerprint(graph: Graph) -> bytes:
+    """Node count, edge count and SHA-256 of ``Graph.edge_arrays()``: 40 bytes."""
+    i, j, w = graph.edge_arrays()
+    body = i.astype("<i8").tobytes() + j.astype("<i8").tobytes() + w.astype("<f8").tobytes()
+    return struct.pack("<II", graph.n, w.size) + hashlib.sha256(body).digest()
+
+
 def save_checkpoint(model: STUNet, path: str) -> None:
-    """Bit-exact container: magic, version, config text block, then every
-    registered tensor in registration order."""
+    """Bit-exact container: magic, version, config text block, every
+    registered tensor in registration order, then the graph block: a zero
+    name length, the graph fingerprint, the partition parents of each level
+    and each level's λmax."""
     # written beside the target and renamed over it, so a save that fails
     # halfway leaves the previous file whole
     tmp = f"{path}.{os.getpid()}.tmp"
+    parents = model.pm.parents if model.pm else []
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
@@ -343,60 +361,106 @@ def save_checkpoint(model: STUNet, path: str) -> None:
                 for extent in t.data.shape:
                     fh.write(struct.pack("<I", extent))
                 fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            fh.write(struct.pack("<I", 0) + _graph_fingerprint(model.graph))
+            fh.write(struct.pack("<I", len(parents)))
+            for parent in parents:
+                fh.write(struct.pack("<I", parent.size) + parent.astype("<u4").tobytes())
+            fh.write(np.array([lap.lambda_max for lap in model.laps], dtype="<f8").tobytes())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def _read_exact(fh, n: int) -> bytes:
+def _read_exact(fh, n: int, path: str, part: str) -> bytes:
     b = fh.read(n)
     if len(b) != n:
-        raise CheckpointError("checkpoint truncated")
+        raise CheckpointError(f"{path}: checkpoint truncated in {part}")
     return b
 
 
-def _read_header(fh, path: str) -> STUNetConfig:
-    """Magic, version and config block; leaves ``fh`` at the first tensor."""
-    if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
+def _unpack(fh, fmt: str, path: str, part: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), path, part))
+
+
+def _read_header(fh, path: str) -> tuple:
+    """(config, version) from magic, version and config block; leaves ``fh``
+    at the first tensor."""
+    if _read_exact(fh, 4, path, "header") != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
-    (version,) = struct.unpack("<I", _read_exact(fh, 4))
-    if version != CHECKPOINT_VERSION:
+    (version,) = _unpack(fh, "<I", path, "header")
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(f"{path}: unsupported version {version}")
-    (n,) = struct.unpack("<I", _read_exact(fh, 4))
+    (n,) = _unpack(fh, "<I", path, "header")
+    text = _read_exact(fh, n, path, "config")
     try:
-        return STUNetConfig.from_lines(_read_exact(fh, n).decode("utf-8"))
+        return STUNetConfig.from_lines(text.decode("utf-8")), version
     except (UnicodeDecodeError, CheckpointError) as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 
 
 def read_checkpoint_config(path: str) -> STUNetConfig:
     with open(path, "rb") as fh:
-        return _read_header(fh, path)
+        return _read_header(fh, path)[0]
+
+
+def _read_graph_block(fh, path: str, config: STUNetConfig) -> tuple:
+    """(fingerprint, parents, λmax per level), each field validated."""
+    fingerprint = _read_exact(fh, 40, path, "graph block fingerprint")
+    n = int.from_bytes(fingerprint[:4], "little")
+    (levels,) = _unpack(fh, "<I", path, "graph block")
+    if levels != config.p:
+        raise CheckpointError(f"{path}: graph block holds {levels} parent arrays, p={config.p}")
+    parents = []
+    for k in range(levels):
+        (size,) = _unpack(fh, "<I", path, f"graph block parents[{k}]")
+        raw = _read_exact(fh, 4 * size, path, f"graph block parents[{k}]")
+        parent = np.frombuffer(raw, dtype="<u4").astype(np.int64)
+        try:  # ids past the level's size are out of range before any count is taken
+            _, counts = member_table(parent, n, min(int(parent.max(initial=-1)) + 1, n))
+        except StunetError as exc:
+            raise CheckpointError(f"{path}: graph block parents[{k}]: {exc}") from None
+        parents.append(parent)
+        n = counts.size
+    lambdas = np.frombuffer(_read_exact(fh, 8 * levels + 8, path, "graph block lambda_max"), "<f8")
+    if not np.all(np.isfinite(lambdas) & (lambdas > 0)):
+        raise CheckpointError(f"{path}: graph block lambda_max {lambdas} not all finite and > 0")
+    return fingerprint, parents, lambdas.tolist()
 
 
 def load_checkpoint(path: str, graph: Graph) -> STUNet:
-    """Rebuild the model from the stored config and restore every tensor."""
-    with open(path, "rb") as fh:
-        model = build(_read_header(fh, path), graph)
-        for name, t in model.params.entries:
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            stored = _read_exact(fh, name_len).decode("utf-8", "replace")
-            if stored != name:
-                raise CheckpointError(
-                    f"{path}: parameter order mismatch ({stored!r} != {name!r})"
-                )
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank)
-            )
-            if shape != t.data.shape:
-                raise CheckpointError(
-                    f"{path}: shape mismatch for {name}: {shape} != {t.data.shape}"
-                )
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(fh, 8 * count)
-            t.data[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after parameters")
+    """Restore a model on ``graph`` from the stored config and tensors. A
+    version 2 file whose graph fingerprint matches ``graph`` supplies the
+    partition and λmax; a version 1 file or another graph derives them again."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    fh = io.BytesIO(raw)  # a corrupt extent cannot ask for more than the file holds
+    config, version = _read_header(fh, path)
+    stored = []
+    while version > 1 or fh.tell() < len(raw):  # a version 1 file ends with its last tensor
+        (name_len,) = _unpack(fh, "<I", path, "tensor name")
+        if name_len == 0:  # the graph block
+            break
+        name = _read_exact(fh, name_len, path, "tensor name").decode("utf-8", "replace")
+        (rank,) = _unpack(fh, "<I", path, f"tensor {name}")
+        shape = _unpack(fh, f"<{rank}I", path, f"tensor {name}")
+        data = _read_exact(fh, 8 * math.prod(shape), path, f"tensor {name}")
+        stored.append((name, np.frombuffer(data, dtype="<f8").reshape(shape)))
+    derived = None
+    if version > 1:
+        fingerprint, parents, lambdas = _read_graph_block(fh, path, config)
+        if fingerprint == _graph_fingerprint(graph):
+            derived = (parents, lambdas)
+    if fh.read(1):
+        raise CheckpointError(f"{path}: trailing bytes after the checkpoint")
+    model = build(config, graph, derived)
+    entries = model.params.entries
+    for (got, data), (name, t) in zip(stored, entries):
+        if got != name:
+            raise CheckpointError(f"{path}: parameter order mismatch ({got!r} != {name!r})")
+        if data.shape != t.shape:
+            raise CheckpointError(f"{path}: shape mismatch for {name}: {data.shape} != {t.shape}")
+        t.data[...] = data
+    if len(stored) != len(entries):
+        raise CheckpointError(f"{path}: holds {len(stored)} tensors, config needs {len(entries)}")
     return model

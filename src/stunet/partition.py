@@ -153,26 +153,29 @@ def path_grow_select(g: Graph) -> Matching:
 
 
 def coarsen(g: Graph, matching: Matching):
-    """Contract matched pairs into supernodes.
-
-    Supernodes are numbered by ascending minimum member id; inter-super
-    weights are the sums of crossing edge weights and intra-super weight is
-    dropped. Returns (coarse graph, parent array of length g.n).
-    """
+    """Contract matched pairs into supernodes, numbered by ascending minimum
+    member id. Returns (coarse graph, parent array of length g.n)."""
     matching.weight(g)  # validates every pair is a real edge
     lowest = np.arange(g.n)
     pairs = np.array(matching.pairs, dtype=np.int64).reshape(-1, 2)
     lowest[pairs[:, 1]] = pairs[:, 0]
-    ids, parent = np.unique(lowest, return_inverse=True)
+    _, parent = np.unique(lowest, return_inverse=True)
+    return contract(g, parent), parent
+
+
+def contract(g: Graph, parent: np.ndarray) -> Graph:
+    """Graph of the supernodes 0..max(parent): inter-super weights are the
+    sums of crossing edge weights and intra-super weight is dropped."""
     i, j, wt = g.edge_arrays()
     a, b = parent[i], parent[j]
     cross = a != b
     a, b, wt = a[cross], b[cross], wt[cross]
     # both orientations interleaved, so every cell sums its edges in edge order
     rows, cols = np.stack((a, b), axis=1).ravel(), np.stack((b, a), axis=1).ravel()
-    w = np.zeros((ids.size, ids.size))
+    n_super = int(parent.max(initial=-1)) + 1
+    w = np.zeros((n_super, n_super))
     np.add.at(w, (rows, cols), np.repeat(wt, 2))
-    return Graph(w), parent
+    return Graph(w)
 
 
 @dataclass
@@ -202,6 +205,15 @@ class PartitionMap:
             scaled = deg / max_deg if max_deg > 0 else np.zeros_like(deg)
             self.slots.append(slot)
             self.member_stats.append(np.column_stack((scaled, deg, counts[parent])))
+
+    @classmethod
+    def from_parents(cls, g: Graph, parents: list) -> "PartitionMap":
+        """The hierarchy that ``parents`` (as ``multilevel_partition`` made
+        them) define over ``g``, with no matching search."""
+        graphs = [g]
+        for parent in parents:
+            graphs.append(contract(graphs[-1], parent))
+        return cls(graphs=graphs, parents=list(parents))
 
     @property
     def levels(self) -> int:

@@ -290,3 +290,52 @@ def test_numeric_first_line_is_an_edge_not_a_header(tmp_path, fmt):
     # a header still needs neither of its first two tokens to be a number
     path = write(tmp_path, "head.csv", "# comment\nfrom,to,w\n0,1,1\n")
     assert load_adjacency(path, fmt).n == 2
+
+
+# tokens the one-call parser must read exactly as float() does; 1_0 is one
+# only the row parser accepts, so a table holding it takes the row path
+FUZZ_TOKENS = ["0.0", "-0.0", "+0.0", "+1", ".5", "5.", "1e-400", "4.9e-324", " 2.5",
+               "3\t", "\t-4 ", " \t1e5", "-.25e-3", "1.7976931348623157e308", "1_0"]
+
+
+def test_one_call_parse_matches_the_row_parser(tmp_path):
+    from stunet.data import _parse_float
+
+    rng = np.random.default_rng(0)
+    for trial in range(60):
+        pool = FUZZ_TOKENS if trial % 2 else FUZZ_TOKENS[:-1]
+        grid = [[str(t) for t in rng.choice(pool, size=4)] for _ in range(5)]
+        path = write(tmp_path, "fuzz.csv", "".join(",".join(r) + "\n" for r in grid))
+        rows = [[_parse_float(t.strip(), path, k) for t in r] for k, r in enumerate(grid)]
+        assert load_series(path, 4).tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1.0,nan", r"s\.csv:2: non-finite value 'nan'"),
+    ("-inf,1.0", r"s\.csv:2: non-finite value '-inf'"),
+    ("1.0,", r"s\.csv:2: bad number ''"),
+    ("1.0", r"s\.csv:2: expected 2 columns, got 1"),
+    ("1.0,2.0,3.0", r"s\.csv:2: expected 2 columns, got 3"),
+    ("0x10,1.0", r"s\.csv:2: bad number '0x10'"),
+])
+def test_bad_rows_raise_the_row_parser_error(tmp_path, row, message):
+    path = write(tmp_path, "s.csv", f"0.5,1.5\n{row}\n")
+    with pytest.raises(DataError, match=message + "$"):
+        load_series(path, 2)
+    with pytest.raises(DataError, match=message + "$"):
+        load_adjacency(path)
+
+
+def test_a_first_line_holding_a_number_is_data_not_a_header(tmp_path):
+    path = write(tmp_path, "s.csv", "1..5,2.0\n3.0,4.0\n5.0,6.0\n")
+    with pytest.raises(DataError, match=r"s\.csv:1: bad number '1\.\.5'"):
+        load_series(path, 2)
+    path = write(tmp_path, "adj.csv", "x,1\n1,0\n")
+    with pytest.raises(DataError, match=r"adj\.csv:1: bad number 'x'"):
+        load_adjacency(path)
+    # a header is a first line none of whose tokens is a number
+    path = write(tmp_path, "head.csv", "# comment\nfrom,to\n0,1\n1,0\n")
+    assert load_adjacency(path).n == 2
+    assert load_series(path, 2).shape == (2, 2, 1)
+    with pytest.raises(DataError, match=r"only\.csv: no data rows"):
+        load_series(write(tmp_path, "only.csv", "a,b\n"), 2)

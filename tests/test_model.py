@@ -1,12 +1,14 @@
 """U-shaped model assembly, variants, loss, and binary checkpoints."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 
 from conftest import check_gradients, random_graph
 from stunet import tensor as T
+from stunet.data import knn_grid_graph
 from stunet.errors import CheckpointError, DimensionError, ModelError, UsageError
 from stunet.graph import ChebKernel, cheb_conv, normalized_laplacian
 from stunet.model import (
@@ -379,3 +381,123 @@ def test_batch1_forecast_op_budget(monkeypatch):
     window = np.random.default_rng(0).normal(size=(1, model.config.j, 64, 1))
     predict_windows(model, window, batch_size=1)
     assert 0 < len(calls) <= 300
+
+
+# -- checkpoint version 2: the stored partition and lambda_max --------------
+
+
+def two_level_config():
+    return tiny_config(p=2, hidden_sizes=(3, 4, 5))
+
+
+def forecast_bytes(model):
+    x = np.random.default_rng(3).normal(size=(model.config.j, model.graph.n, 1))
+    return model.forward(Tensor(x)).data.tobytes()
+
+
+def assert_same_graph_structure(a, b):
+    if a.pm is None or b.pm is None:
+        assert a.pm is b.pm
+    else:
+        assert len(a.pm.parents) == len(b.pm.parents)
+        for pa, pb in zip(a.pm.parents, b.pm.parents):
+            assert pa.tobytes() == pb.tobytes()
+        for ga, gb in zip(a.pm.graphs, b.pm.graphs):
+            assert ga.weights.tobytes() == gb.weights.tobytes()
+    assert [lap.lambda_max for lap in a.laps] == [lap.lambda_max for lap in b.laps]
+
+
+def count_rebuilds(monkeypatch):
+    """Calls of the partition search and the eigensolve, by name."""
+    from stunet import model as model_module
+
+    calls = []
+    partition, eigvalsh = model_module.multilevel_partition, np.linalg.eigvalsh
+
+    def counted(name, fn):
+        return lambda *a, **kw: calls.append(name) or fn(*a, **kw)
+
+    monkeypatch.setattr(model_module, "multilevel_partition", counted("partition", partition))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 0])
+def test_v2_load_on_the_training_graph_reuses_partition_and_lambda_max(tmp_path, monkeypatch, p):
+    g = knn_grid_graph(3, 4)
+    cfg = two_level_config() if p else tiny_config(p=0, s=1)
+    model, path = checkpoint_roundtrip(str(tmp_path), cfg, g)
+    calls = count_rebuilds(monkeypatch)
+    loaded = load_checkpoint(path, g)
+    assert calls == []
+    assert_same_graph_structure(loaded, model)
+    assert forecast_bytes(loaded) == forecast_bytes(model)
+
+
+def test_version1_checkpoint_loads_through_the_rebuild(monkeypatch):
+    r"""``data/v1_tiny.ckpt`` holds no graph block. The version 1 writer made it:
+    at commit 52dcc01, from the repository root,
+
+        PYTHONPATH=src python -c "from stunet.data import knn_grid_graph; \
+        from stunet.model import STUNetConfig, build, save_checkpoint; \
+        cfg = STUNetConfig(k=2, p=1, s=2, hidden_sizes=(3, 4), \
+        unpool_mode='weighted_deconv', j=4, h=2); \
+        save_checkpoint(build(cfg, knn_grid_graph(2, 3)), 'tests/data/v1_tiny.ckpt')"
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", "v1_tiny.ckpt")
+    assert open(path, "rb").read()[4:8] == b"\x01\x00\x00\x00"
+    g = knn_grid_graph(2, 3)
+    calls = count_rebuilds(monkeypatch)
+    loaded = load_checkpoint(path, g)
+    assert calls == ["partition", "eigvalsh", "eigvalsh"]
+    fresh = build(loaded.config, g)
+    assert loaded.config == STUNetConfig(
+        k=2, p=1, s=2, hidden_sizes=(3, 4), unpool_mode="weighted_deconv", j=4, h=2
+    )
+    for (name_a, ta), (name_b, tb) in zip(loaded.params.entries, fresh.params.entries):
+        assert name_a == name_b and ta.data.tobytes() == tb.data.tobytes()
+    assert forecast_bytes(loaded) == forecast_bytes(fresh)
+
+
+@pytest.mark.parametrize("n", [12, 9])
+def test_v2_load_on_another_graph_equals_a_fresh_build(tmp_path, n):
+    _, path = checkpoint_roundtrip(str(tmp_path), two_level_config(), knn_grid_graph(3, 4))
+    other = random_graph(np.random.default_rng(n), n, density=0.5)
+    loaded = load_checkpoint(path, other)
+    fresh = build(two_level_config(), other)
+    for (_, stored), (_, t) in zip(loaded.params.entries, fresh.params.entries):
+        t.data[...] = stored.data
+    assert_same_graph_structure(loaded, fresh)
+    assert forecast_bytes(loaded) == forecast_bytes(fresh)
+
+
+def test_damaged_graph_block_is_rejected(tmp_path):
+    g = knn_grid_graph(3, 4)
+    model, path = checkpoint_roundtrip(str(tmp_path), two_level_config(), g)
+    raw = open(path, "rb").read()
+    lam = len(raw) - 8 * len(model.laps)  # the block ends with lambda_max per level
+    last = lam - 4 * model.pm.graphs[-2].n  # preceded by the last level's parents
+    count_at = lam - sum(4 + 4 * fine.n for fine in model.pm.graphs[:-1]) - 4
+    other = random_graph(np.random.default_rng(1), 12, density=0.5)
+    first = 12 + int.from_bytes(raw[8:12], "little")  # past the config block
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    gap = np.array([2] + [0] * ((lam - last) // 4 - 1), dtype="<u4").tobytes()  # none in 1
+    for name, data, message in (
+        ("cut_lambda.ckpt", raw[: lam + 4], r"truncated in graph block lambda_max"),
+        ("cut_parents.ckpt", raw[: last + 2], r"truncated in graph block parents\[1\]"),
+        ("cut_tensor.ckpt", raw[: first + 40], r"truncated in tensor enc0\.w_z"),
+        ("bad_id.ckpt", raw[:last] + b"\x63" + raw[last + 1 :],
+         r"graph block parents\[1\]: parent id 99 out of range"),
+        ("empty_super.ckpt", raw[:last] + gap + raw[lam:],
+         r"graph block parents\[1\]: supernode 1 has no members"),
+        ("nan_lambda.ckpt", raw[:lam] + nan + raw[lam + 8 :],
+         r"lambda_max \[nan .*\] not all finite and > 0"),
+        ("count.ckpt", raw[:count_at] + b"\x01\x00\x00\x00" + raw[count_at + 4 :],
+         r"graph block holds 1 parent arrays, p=2"),
+        ("trailing.ckpt", raw + b"\x00", r"trailing bytes"),
+    ):
+        bad = os.path.join(str(tmp_path), name)
+        open(bad, "wb").write(data)
+        for graph in (g, other):
+            with pytest.raises(CheckpointError, match=re.escape(bad) + ": .*" + message):
+                load_checkpoint(bad, graph)
