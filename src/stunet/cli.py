@@ -1,11 +1,12 @@
 """Command-line entry point: train, eval, predict, partition, synth,
 ablation, and upsample-compare subcommands.
 
-The run commands take flat key=value text from a --config file, then --set
-overrides, then the common flags (COMMON_FLAGS), each source winning over the
-one before. The keys are the fields of STUNetConfig and RunConfig plus the
-data keys of EXTRA_DEFAULTS, and model.parse_field types each value from the
-default of the field it names, as it types checkpoint and manifest text.
+The run commands and partition take flat key=value text from a --config
+file, then --set overrides, then the common flags (COMMON_FLAGS), each source
+winning over the one before, and all load their graph with _load_graph. The
+keys are the fields of STUNetConfig and RunConfig plus the data keys of
+EXTRA_DEFAULTS, and model.parse_field types each value from the default of
+the field it names, as it types checkpoint and manifest text.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ COMMON_FLAGS = (
     ("--adj", "adj_path", "adjacency file path"),
     ("--series", "series_path", "series CSV path"),
     ("--ckpt", "ckpt_path", "checkpoint path"),
-    ("--out", "out_dir", "output directory (or file for predict)"),
+    ("--out", "out_dir", "output directory (or file for predict and partition)"),
     ("--seed", "seed", "seed override"),
     ("--variant", "variant", "GCGRU, T-UNet, S-UNet, or ST-UNet"),
     ("--horizons", "horizons", "comma list of metric steps, e.g. 3,6,12"),
@@ -113,9 +114,7 @@ def _require(value: str, hint: str) -> str:
 def _load_graph(rc: RunConfig, extras: dict):
     adj = _require(rc.adj_path, "adjacency path (--adj or adj_path=)")
     opts = {**EXTRA_DEFAULTS, **extras}
-    return load_adjacency(
-        adj, opts["adj_format"], sigma=opts["gauss_sigma"], eps=opts["gauss_eps"]
-    )
+    return load_adjacency(adj, opts["adj_format"], opts["gauss_sigma"], opts["gauss_eps"])
 
 
 def _load_dataset(rc: RunConfig, extras: dict) -> TimeSeriesDataset:
@@ -125,17 +124,13 @@ def _load_dataset(rc: RunConfig, extras: dict) -> TimeSeriesDataset:
     return TimeSeriesDataset(series=series, graph=g, interval_minutes=rc.interval_minutes)
 
 
-def _out_dir(rc: RunConfig) -> str:
-    return rc.out_dir or "."
-
-
 def cmd_train(args) -> int:
     rc, extras = run_config_from_mapping(_mapping_from_args(args))
     rc.model = variant(rc.model, rc.variant)
     rc.validate()
     ds = _load_dataset(rc, extras)
     model, history = train_model(rc, ds)
-    out = _out_dir(rc)
+    out = rc.out_dir or "."
     os.makedirs(out, exist_ok=True)
     ckpt = rc.ckpt_path or os.path.join(out, "model.ckpt")
     save_checkpoint(model, ckpt)
@@ -156,7 +151,7 @@ def cmd_eval(args) -> int:
     report = evaluate_model(model, ds, rc.horizons, batch_size=rc.batch_size)
     prov = provenance_lines(rc, (rc.seed,))
     text = report.render_text(prov)
-    paths = write_report_files(_out_dir(rc), "metrics", text, report.render_csv(prov))
+    paths = write_report_files(rc.out_dir or ".", "metrics", text, report.render_csv(prov))
     print(text, end="")
     print(f"report written to {paths[0]} and {paths[1]}")
     return 0
@@ -187,10 +182,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    adj = _require(args.adj, "adjacency path (--adj)")
-    g = load_adjacency(adj, args.adj_format)
-    pm = multilevel_partition(g, args.level)
-    out_path = args.out or "partition.txt"
+    rc, extras = run_config_from_mapping(_mapping_from_args(args))
+    pm = multilevel_partition(_load_graph(rc, extras), args.level)
+    out_path = rc.out_dir or "partition.txt"
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(pm.to_text())
@@ -240,7 +234,7 @@ def _write_comparison(args, runner, report: str) -> int:
     rc.validate()
     ds = _load_dataset(rc, extras)
     table = runner(rc, ds, extras.get("seeds"))
-    paths = write_report_files(_out_dir(rc), report, table.render_text(), table.render_csv())
+    paths = write_report_files(rc.out_dir or ".", report, table.render_text(), table.render_csv())
     print(table.render_text(), end="")
     print(f"report written to {paths[0]} and {paths[1]}")
     return 0
@@ -280,11 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("eval", parents=[common]).set_defaults(fn=cmd_eval)
     sub.add_parser("predict", parents=[common]).set_defaults(fn=cmd_predict)
 
-    part = sub.add_parser("partition")
-    part.add_argument("--adj", help="adjacency file path")
-    part.add_argument("--adj-format", default="dense_csv", dest="adj_format")
+    part = sub.add_parser("partition", parents=[common], description="The partition map of "
+                          "the graph a run builds from --adj and --set adj_format=, gauss_*=.")
     part.add_argument("--level", type=int, default=1, help="coarsening levels")
-    part.add_argument("--out", help="partition map output path")
     part.set_defaults(fn=cmd_partition)
 
     synth = sub.add_parser("synth")
@@ -312,7 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (StunetError, OSError) as exc:
+    except (StunetError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

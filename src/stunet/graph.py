@@ -1,8 +1,10 @@
 """Weighted graphs, normalized Laplacians, and Chebyshev graph convolution.
 
-The convolution filters a node-signal matrix with a K-localized polynomial of
-the rescaled Laplacian, evaluated by the three-term recursion applied directly
-to the signal as one fused op. Each Laplacian fixes its product operator when
+Every graph is checked by ``Graph.__init__`` alone; edge lists and grids
+reach it through ``Graph.from_edges`` as one (m, 3) array. The convolution
+filters a node-signal matrix with a K-localized polynomial of the rescaled
+Laplacian, evaluated by the three-term recursion applied directly to the
+signal as one fused op. Each Laplacian fixes its product operator when
 it is built, by row width: padded-neighbour (ELL) index and weight arrays when
 the widest row is narrow against the node count, the dense rescaled matrix
 otherwise. lambda_max is exact (a dense symmetric eigensolve). An exact
@@ -21,7 +23,7 @@ from . import tensor as T
 from .errors import DimensionError, GraphError, UsageError
 from .tensor import Tensor, apply_op
 
-_SYM_TOL = 1e-12
+_SYM_TOL = 1e-8
 # the sparse operator is used when the widest row times this is below n
 _ELL_WIDTH_RATIO = 16
 # neighbour slots gathered at once, so no temporary exceeds 8 activations
@@ -32,7 +34,9 @@ _GATHER_ELEMS = 1 << 16
 
 
 class Graph:
-    """Undirected weighted graph: symmetric nonnegative adjacency, zero diagonal."""
+    """Undirected weighted graph: symmetric nonnegative adjacency, zero diagonal.
+    An asymmetry up to _SYM_TOL is averaged away, a larger one is an error;
+    a symmetric matrix is stored as given."""
 
     __slots__ = ("n", "weights")
 
@@ -42,26 +46,36 @@ class Graph:
             raise GraphError(f"adjacency must be square, got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise GraphError("adjacency holds non-finite values")
-        if np.abs(w - w.T).max(initial=0.0) > _SYM_TOL:
-            raise GraphError("adjacency is not symmetric")
+        gap = np.abs(w - w.T).max(initial=0.0)
+        if gap > _SYM_TOL:
+            raise GraphError(f"adjacency asymmetric by {gap:.3e}")
+        if gap:
+            w = 0.5 * (w + w.T)
         if w.size and w.min() < 0:
-            raise GraphError("adjacency holds negative weights")
-        if np.abs(np.diag(w)).max(initial=0.0) != 0.0:
+            raise GraphError("negative weight in adjacency")
+        if np.any(np.diag(w)):
             raise GraphError("adjacency diagonal must be zero")
         self.n = w.shape[0]
         self.weights = w
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Build from (i, j, w) triples; parallel entries keep the max weight."""
+        """Build from (i, j, w) triples, one (m, 3) array or a sequence of
+        tuples; parallel entries, in either orientation, keep the max weight."""
+        e = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+        ends, wt = e[:, :2], e[:, 2]
+        for bad, fault in (
+            ((ends != np.floor(ends)).any(axis=1), "a non-integral node id"),
+            (((ends < 0) | (ends >= n)).any(axis=1), f"a node out of range for n={n}"),
+            (ends[:, 0] == ends[:, 1], "a self loop"),
+            (~(np.isfinite(wt) & (wt >= 0)), "a non-finite or negative weight"),
+        ):
+            if bad.any():
+                raise GraphError(f"edge {tuple(e[np.argmax(bad)].tolist())} has {fault}")
+        i, j = ends.astype(np.intp).T
         w = np.zeros((n, n))
-        for i, j, wt in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphError(f"edge ({i},{j}) out of range for n={n}")
-            if i == j:
-                raise GraphError(f"self loop at node {i}")
-            w[i, j] = max(w[i, j], wt)
-            w[j, i] = w[i, j]
+        np.maximum.at(w, (i, j), wt + 0.0)  # + 0.0 stores a -0.0 weight as 0.0
+        np.maximum.at(w, (j, i), wt + 0.0)
         return cls(w)
 
     def edge_arrays(self):
@@ -143,10 +157,12 @@ class GraphLaplacian:
         self.lambda_max = float(lambda_max)
         self.rescaled = 2.0 * lap / self.lambda_max - np.eye(self.n)
         self.ell = _ell_operator(self.rescaled)
-        self._rescaled_tensor = Tensor(self.rescaled)
+        self._rescaled_tensor = None
 
     def rescaled_tensor(self) -> Tensor:
-        """The rescaled Laplacian as a constant tensor."""
+        """The rescaled Laplacian as a constant tensor, built on first use."""
+        if self._rescaled_tensor is None:
+            self._rescaled_tensor = Tensor(self.rescaled)
         return self._rescaled_tensor
 
     def product(self, v: np.ndarray) -> np.ndarray:

@@ -275,6 +275,46 @@ def test_partition_command(tmp_path, capsys):
     assert open(out).read() == open(again).read()
 
 
+def test_partition_honours_the_graph_keys_of_a_run(tmp_path):
+    from stunet.partition import multilevel_partition
+
+    rng = np.random.default_rng(3)
+    path = os.path.join(str(tmp_path), "dist.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("from,to,km\n")
+        for i in range(12):
+            for j in range(i + 1, 12):
+                fh.write(f"{i},{j},{rng.uniform(0.3, 3.0)!r}\n")
+    maps = {}
+    for sigma, eps in ((1.0, 0.0), (0.5, 0.3)):
+        out = os.path.join(str(tmp_path), f"pmap_{sigma}.txt")
+        rv = cli.main(
+            ["partition", "--adj", path, "--level", "1", "--out", out,
+             "--set", "adj_format=distance_gaussian",
+             "--set", f"gauss_sigma={sigma}", "--set", f"gauss_eps={eps}"]
+        )
+        assert rv == 0
+        g = load_adjacency(path, "distance_gaussian", sigma, eps)
+        maps[sigma] = open(out).read()
+        assert maps[sigma] == multilevel_partition(g, 1).to_text()
+    assert maps[1.0] != maps[0.5]
+    assert len(load_adjacency(path, "distance_gaussian", 0.5, 0.3).edges()) < 66
+
+
+def test_partition_has_no_adj_format_flag():
+    with pytest.raises(SystemExit):
+        cli.main(["partition", "--adj", "a.csv", "--adj-format", "edge_list"])
+
+
+def test_cli_reports_memory_exhaustion_as_an_error(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(cli, "load_adjacency", exhausted)
+    assert cli.main(["partition", "--adj", "huge.csv"]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 298. GiB for an array\n"
+
+
 def test_cli_reports_missing_files_as_errors(tmp_path, capsys):
     rv = cli.main(["train", "--adj", "missing.csv", "--series", "missing2.csv"])
     assert rv == 1

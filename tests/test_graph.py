@@ -51,6 +51,37 @@ def test_graph_from_edges_rejects_out_of_range_endpoints():
         Graph.from_edges(3, [(0, 5, 1.0)])
 
 
+@pytest.mark.parametrize("edge, fault", [
+    ((0, 1, np.nan), "non-finite or negative weight"),
+    ((0, 1, -2.0), "non-finite or negative weight"),
+    ((0, 1.5, 1.0), "non-integral node id"),
+    ((2, 2, 1.0), "self loop"),
+])
+def test_graph_from_edges_rejects_bad_edges_by_name(edge, fault):
+    with pytest.raises(GraphError, match=rf"edge \({edge[0]}.*has an? {fault}"):
+        Graph.from_edges(3, [edge, (1, 2, 1.0)])
+
+
+def test_graph_from_edges_takes_an_edge_array():
+    edges = [(0, 1, 2.0), (1, 0, 5.0), (1, 2, 1.0), (2, 1, 0.0), (0, 2, -0.0)]
+    g = Graph.from_edges(3, np.array(edges))
+    assert g.weights.tobytes() == Graph.from_edges(3, edges).weights.tobytes()
+    assert g.weights.tolist() == [[0.0, 5.0, 0.0], [5.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    assert not np.signbit(g.weights).any()
+    assert Graph.from_edges(2, []).weights.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_graph_symmetry_policy():
+    w = np.array([[0.0, 1.0], [1.0 + 4e-9, 0.0]])
+    assert Graph(w).weights[0, 1] == 0.5 * (1.0 + (1.0 + 4e-9))  # averaged
+    sym = np.array([[0.0, 2.0], [2.0, 0.0]])
+    assert Graph(sym).weights is sym  # stored as given
+    with pytest.raises(GraphError, match="asymmetric by 2.000e-08"):
+        Graph(np.array([[0.0, 1.0], [1.0 + 2e-8, 0.0]]))
+    with pytest.raises(GraphError, match="non-finite"):
+        Graph(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+
+
 def test_graph_edges_lexicographic_from_dense():
     g = random_graph(np.random.default_rng(13), 9)
     expect = [
@@ -217,6 +248,12 @@ def test_cheb_conv_gradients():
 def test_laplacian_cache_reuses_tensor():
     lap = normalized_laplacian(path_graph(3))
     assert lap.rescaled_tensor() is lap.rescaled_tensor()
+
+
+def test_rescaled_tensor_is_built_on_first_use():
+    lap = normalized_laplacian(path_graph(3))
+    assert lap._rescaled_tensor is None
+    assert np.array_equal(lap.rescaled_tensor().data, lap.rescaled)
 
 
 def dense_basis(lap, x, order):
