@@ -46,11 +46,15 @@ class Graph:
             raise GraphError(f"adjacency must be square, got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise GraphError("adjacency holds non-finite values")
-        gap = np.abs(w - w.T).max(initial=0.0)
-        if gap > _SYM_TOL:
-            raise GraphError(f"adjacency asymmetric by {gap:.3e}")
-        if gap:
-            w = 0.5 * (w + w.T)
+        with np.errstate(over="ignore"):  # a gap that overflows is an asymmetry
+            gap = np.abs(w - w.T)
+        worst = gap.max(initial=0.0)
+        if worst > _SYM_TOL:
+            raise GraphError(f"adjacency asymmetric by {worst:.3e}")
+        if worst:  # average only the pairs that differ, so no sum overflows
+            i, j = np.nonzero(gap)
+            w = w.copy()
+            w[i, j] = 0.5 * (w[i, j] + w[j, i])
         if w.size and w.min() < 0:
             raise GraphError("negative weight in adjacency")
         if np.any(np.diag(w)):

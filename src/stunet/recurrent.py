@@ -38,10 +38,14 @@ _CHUNK_ELEMS = 1 << 19
 
 def scheduled_sampling_prob(iteration: int, tau: float = SS_TAU_DEFAULT) -> float:
     """Teacher-forcing probability after `iteration` global training steps,
-    decaying along an inverse sigmoid from 1 toward 0."""
+    decaying along an inverse sigmoid from 1 toward 0: tau / (tau + exp(i / tau)),
+    and exactly 0 once exp(i / tau) overflows a float."""
     if tau <= 0:
         return 0.0
-    return tau / (tau + math.exp(iteration / tau))
+    try:
+        return tau / (tau + math.exp(iteration / tau))
+    except OverflowError:
+        return 0.0
 
 
 @dataclass
@@ -179,7 +183,8 @@ class FoldedCell:
 
         written into ``out`` when given. A non-finite gate pre-activation
         raises NumericError naming the gate and ``t``, the time step of the
-        first row.
+        first row; the checked [z|r] pre-activation then becomes the gates in
+        place, with the same ``sigmoid_array`` as ``T.sigmoid``.
         """
         w, d = self.w, self.w.d_h
         xs = xw.data if rows is None else xw.data[rows]
@@ -195,7 +200,7 @@ class FoldedCell:
         np.add(xs[..., : 2 * d], zr, out=zr)
         zr += b[: 2 * d]
         _check_finite(zr, "update/reset gate", t)
-        zr = T.sigmoid_array(zr)
+        T.sigmoid_array(zr, out=zr)
         z, r = zr[..., :d], zr[..., d:]
         br = lap.basis(r * hp, k)
         c = T.flat_matmul(br, uh)

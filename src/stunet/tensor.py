@@ -241,16 +241,14 @@ def mul_const(x: Tensor, const: np.ndarray) -> Tensor:
     return apply_op(out, (x,), lambda g: (g * c,))
 
 
-def sigmoid_array(xd: np.ndarray) -> np.ndarray:
-    """Logistic function of an array, as a new array. Overflow-safe: exp of a
-    non-positive argument only; 1/(1+t) for x >= 0, t/(1+t) otherwise, as one
-    division."""
-    t = np.abs(xd)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    y = np.where(xd >= 0, 1.0, t)
-    t += 1.0
-    y /= t
+def sigmoid_array(xd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function of an array as 0.5 * tanh(x / 2) + 0.5, written into
+    ``out`` (which may be ``xd``) or a new array. No branch and no temporary;
+    finite input gives output in [0, 1], exactly 0 below about -38."""
+    y = np.multiply(xd, 0.5, out=out)
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
     return y
 
 

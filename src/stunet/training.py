@@ -40,6 +40,9 @@ class RunConfig:
 
     def validate(self) -> None:
         self.model.validate()
+        for name in ("lr", "clip_norm", "ss_tau", "interval_minutes"):
+            if not np.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 0 or self.batch_size < 1:
             raise UsageError("epochs must be >= 0 and batch size >= 1")
         if self.lr <= 0 or not 0 < self.lr_decay <= 1 or self.lr_decay_every < 1:

@@ -82,6 +82,23 @@ def test_graph_symmetry_policy():
         Graph(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
 
+def test_graph_overflowing_gap_is_an_asymmetry():
+    with np.errstate(over="raise"):
+        with pytest.raises(GraphError, match="asymmetric by inf"):
+            Graph(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+def test_graph_averages_only_the_pairs_that_differ():
+    w = np.array([[0.0, 1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.000000001, 0.0]])
+    with np.errstate(over="raise"):
+        got = Graph(w).weights
+    assert np.isfinite(got).all()
+    assert got[0, 1] == got[1, 0] == 1.7e308
+    assert got[2, 3] == got[3, 2] == 0.5 * (1.0 + 1.000000001)
+    assert w[3, 2] == 1.000000001  # the caller's matrix is not changed
+
+
 def test_graph_edges_lexicographic_from_dense():
     g = random_graph(np.random.default_rng(13), 9)
     expect = [

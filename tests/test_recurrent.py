@@ -42,6 +42,20 @@ def test_scheduled_sampling_schedule():
     assert all(a >= b for a, b in zip(probs, probs[1:]))
 
 
+def test_scheduled_sampling_is_zero_where_the_decay_overflows():
+    assert scheduled_sampling_prob(710, 1.0) == 0.0  # exp(710) overflows a float
+    for tau in (0.5, 1.0, 3.0, 100.0, 1000.0):
+        probs = []
+        for i in (0, 1, 7, 100, 709, 710, 2000, 70979, 70980, 709783, 709784, 10**7):
+            try:
+                want = tau / (tau + math.exp(i / tau))
+            except OverflowError:
+                want = 0.0
+            probs.append(scheduled_sampling_prob(i, tau))
+            assert probs[-1] == want, (i, tau)
+        assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+
 def test_dilation_schedule_validation():
     DilationSchedule([1, 2, 4])
     with pytest.raises(UsageError):
@@ -438,3 +452,26 @@ def test_non_finite_gate_names_gate_and_block_start(kernel, gate):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=f"{gate} pre-activation .* time step 2$"):
             dilated_layer_forward(w, lap, x, 2)
+
+
+def test_step_applies_gates_in_place_as_sigmoid_op(monkeypatch):
+    calls = []
+    sigmoid_array = T.sigmoid_array
+
+    def spy(xd, out=None):
+        pre = xd.copy()
+        y = sigmoid_array(xd, out=out)
+        calls.append((pre, out is xd and y is xd, y.copy()))
+        return y
+
+    monkeypatch.setattr(T, "sigmoid_array", spy)
+    w = make_weights(27, layer_norm=True)
+    _randomize_biases(w, np.random.default_rng(28))
+    lap = normalized_laplacian(path_graph(5))
+    x = Tensor(np.random.default_rng(29).normal(size=(6, 5, 2)))
+    dilated_layer_forward(w, lap, x, 2)
+    monkeypatch.undo()
+    assert len(calls) == 3  # one per block
+    for pre, in_place, y in calls:
+        assert in_place
+        assert y.tobytes() == T.sigmoid(Tensor(pre)).data.tobytes()

@@ -272,13 +272,26 @@ def test_backward_keeps_no_op_output_gradient():
     assert _same_bits(b.grad, d * a.data)
 
 
-def test_sigmoid_matches_two_branch_formula_bit_for_bit():
+def test_sigmoid_matches_tanh_identity_bit_for_bit():
     rng = np.random.default_rng(21)
     extremes = [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, -745.2]
     xd = np.concatenate([rng.normal(scale=8.0, size=4000), extremes])
+    got = T.sigmoid(Tensor(xd)).data
+    assert _same_bits(got, 0.5 * np.tanh(xd * 0.5) + 0.5)
+    # the former overflow-safe two-branch kernel stays the reference to a rounding
     t = np.exp(-np.abs(xd))
-    want = np.where(xd >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    assert _same_bits(T.sigmoid(Tensor(xd)).data, want)
+    two_branch = np.where(xd >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    assert np.abs(got - two_branch).max() <= 2.3e-16
+    assert got.min() >= 0.0 and got.max() <= 1.0
+
+
+def test_sigmoid_array_in_place_matches_sigmoid_op():
+    xd = np.random.default_rng(23).normal(scale=16.0, size=(3, 5, 4))
+    xd.flat[:4] = [1e308, -1e308, -40.0, 0.0]
+    buf = xd.copy()
+    assert T.sigmoid_array(buf, out=buf) is buf
+    assert _same_bits(buf, T.sigmoid(Tensor(xd)).data)
+    assert buf.min() >= 0.0 and buf.max() <= 1.0
 
 
 def test_member_table_pads_rows_with_first_member():

@@ -53,6 +53,13 @@ def test_run_config_validation():
     assert rc.metric_steps() == (1, 2, 3)
 
 
+@pytest.mark.parametrize("name", ["lr", "clip_norm", "ss_tau", "interval_minutes"])
+def test_run_config_rejects_non_finite_floats(name):
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(UsageError, match=f"^{name} must be finite"):
+            RunConfig(model=STUNetConfig(), **{name: bad}).validate()
+
+
 def test_epochs_zero_keeps_initial_weights():
     ds = tiny_data()
     rc = tiny_run(epochs=0)
