@@ -1,6 +1,14 @@
 """Forecast metrics (MAE/MAPE/RMSE on original-scale values), the
-historical-average baseline, and the experiment runners for variant ablations
-and unpooling-strategy comparisons, with aligned-text and CSV reports.
+historical-average baseline, and the experiment grids, with aligned-text and
+CSV reports.
+
+The variant ablation and the unpool-strategy comparison each give run_grid a
+list of labels, a list of seeds and a ``configure(label, seed)`` that returns
+the cell's RunConfig. run_grid trains and evaluates every (label, seed) cell
+under one failure policy: a StunetError is recorded in its cell, a non-finite
+MAE or RMSE marks the cell not converged, and any other exception propagates.
+The two tables share ExperimentCell and the per-cell CSV rows of
+ExperimentTable, whose metric columns are data.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import TimeSeriesDataset, WindowConfig, make_windows
-from .errors import DimensionError, MetricError, NumericError, StunetError, UsageError
+from .errors import DimensionError, MetricError, StunetError, UsageError
 from .model import STUNet, VARIANTS, variant
 from .sampling import UNPOOL_MODES
 from .training import RunConfig, predict_windows, train_model
@@ -144,8 +152,8 @@ def horizon_report(pred, target, steps=None, interval_minutes: float = 5.0,
         raise DimensionError(f"expected (windows, steps, nodes, features), got {pred.shape}")
     h = pred.shape[1]
     steps = tuple(range(1, h + 1)) if steps is None else tuple(int(s) for s in steps)
-    if not steps or any(s < 1 or s > h for s in steps):
-        raise UsageError(f"metric steps {steps} must lie in 1..{h}")
+    if not steps or any(s < 1 or s > h for s in steps) or len(set(steps)) < len(steps):
+        raise UsageError(f"metric steps {steps} must be distinct and lie in 1..{h}")
     rows = [
         _slice_row(pred[:, s - 1], target[:, s - 1], s, s * interval_minutes, mask_threshold)
         for s in steps
@@ -207,9 +215,10 @@ def evaluate_model(model: STUNet, ds: TimeSeriesDataset, steps=None,
 
 
 def _commit_id() -> str:
+    """The short HEAD of the checkout that holds this package, else 'unknown'."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "rev-parse", "--short", "HEAD"], cwd=os.path.dirname(__file__),
             capture_output=True, text=True, timeout=10,
         )
         if out.returncode == 0 and out.stdout.strip():
@@ -229,21 +238,77 @@ def provenance_lines(rc: RunConfig, seeds) -> list:
 
 @dataclass
 class ExperimentCell:
-    """One (label, seed) training/evaluation outcome."""
+    """One (label, seed) cell of an experiment grid: its report, or why it
+    failed (a StunetError's message, or 'not converged')."""
 
     label: str
     seed: int
     report: MetricReport | None
     error: str = ""
-    converged: bool = True
 
     def ok(self) -> bool:
-        return self.report is not None and self.converged
+        return not self.error
 
 
-def _mean_std(values) -> tuple:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
+def run_grid(rc: RunConfig, ds: TimeSeriesDataset, labels, seeds, configure) -> list:
+    """Train and evaluate one model per (label, seed) cell, label-major, on the
+    RunConfig that ``configure(label, seed)`` returns. A StunetError is recorded
+    in its cell, a cell whose MAE or RMSE is not finite has not converged, and
+    any other exception propagates."""
+    rc.validate()
+    seeds = tuple(int(s) for s in seeds)
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise UsageError(f"an experiment needs distinct seeds, got '{','.join(map(str, seeds))}'")
+    cells = []
+    for label in labels:
+        for seed in seeds:
+            cell_rc = configure(label, seed)
+            try:
+                model, _ = train_model(cell_rc, ds)
+                report = evaluate_model(model, ds, cell_rc.metric_steps(),
+                                        batch_size=cell_rc.batch_size)
+            except StunetError as exc:
+                cells.append(ExperimentCell(label, seed, None, str(exc)))
+                continue
+            finite = all(math.isfinite(r.mae) and math.isfinite(r.rmse) for r in report.all_rows())
+            cells.append(ExperimentCell(label, seed, report, "" if finite else "not converged"))
+    return cells
+
+
+# overall metric columns: (name, text head, CSV head, value read from a report)
+OVERALL_COLUMNS = (
+    ("mae", "mae", "mae", lambda r: r.overall.mae),
+    ("mape", "mape%", "mape_percent", lambda r: r.overall.mape),
+    ("rmse", "rmse", "rmse", lambda r: r.overall.rmse),
+)
+
+
+@dataclass
+class ExperimentTable:
+    """The cells of an experiment grid, label-major, and the metric columns
+    that each ok cell reports, given as in OVERALL_COLUMNS."""
+
+    cells: list
+    labels: tuple
+    columns: tuple
+    provenance: list
+
+    HEADS = ("label", "status")  # CSV heads of the label and status columns
+    STATUS = ("ok", "failed")  # CSV status of an ok and of a failed cell
+
+    def values(self, report) -> list:
+        return [read(report) for *_, read in self.columns]
+
+    def render_csv(self) -> str:
+        """Provenance, then one row per cell."""
+        lines = list(self.provenance)
+        heads = [self.HEADS[0], "seed", self.HEADS[1]] + [h for _, _, h, _ in self.columns]
+        lines.append(",".join(heads))
+        blank = [""] * len(self.columns)
+        for c in self.cells:
+            vals = [f"{v:.6f}" for v in self.values(c.report)] if c.ok() else blank
+            lines.append(",".join([c.label, str(c.seed), self.STATUS[not c.ok()], *vals]))
+        return "\n".join(lines) + "\n"
 
 
 def _pm(pair) -> str:
@@ -251,175 +316,98 @@ def _pm(pair) -> str:
 
 
 @dataclass
-class AblationTable:
+class AblationTable(ExperimentTable):
     """Variant x seed grid with mean +/- std summaries per metric."""
 
-    cells: list
-    labels: tuple
-    seeds: tuple
-    provenance: list
+    HEADS = ("variant", "status")
 
     def cells_for(self, label) -> list:
         return [c for c in self.cells if c.label == label]
 
     def summary(self, label) -> dict:
-        good = [c for c in self.cells_for(label) if c.ok()]
-        if not good:
+        """{column name: (mean, std) over the label's ok cells}; {} when none is ok."""
+        good = np.array([self.values(c.report) for c in self.cells_for(label) if c.ok()])
+        if not good.size:
             return {}
-        return {
-            "mae": _mean_std([c.report.overall.mae for c in good]),
-            "mape": _mean_std([c.report.overall.mape for c in good]),
-            "rmse": _mean_std([c.report.overall.rmse for c in good]),
-        }
+        return {name: (float(good[:, i].mean()), float(good[:, i].std()))
+                for i, (name, *_) in enumerate(self.columns)}
 
     def render_text(self) -> str:
         lines = list(self.provenance)
-        lines.append(
-            f"{'variant':<10} {'ok':>5} {'mae':>22} {'mape%':>22} {'rmse':>22}"
-        )
+        lines.append(f"{'variant':<10} {'ok':>5}" + "".join(
+            f" {head:>22}" for _, head, _, _ in self.columns))
         for label in self.labels:
             cells = self.cells_for(label)
-            ok = sum(c.ok() for c in cells)
-            s = self.summary(label)
-            if s:
-                lines.append(
-                    f"{label:<10} {ok:>2d}/{len(cells):<2d} "
-                    f"{_pm(s['mae']):>22} {_pm(s['mape']):>22} {_pm(s['rmse']):>22}"
-                )
-            else:
-                lines.append(f"{label:<10} {ok:>2d}/{len(cells):<2d} {'failed':>22}")
-        failures = [c for c in self.cells if not c.ok()]
+            shown = [_pm(pair) for pair in self.summary(label).values()] or ["failed"]
+            lines.append(f"{label:<10} {sum(c.ok() for c in cells):>2d}/{len(cells):<2d}"
+                         + "".join(f" {v:>22}" for v in shown))
+        failures = [f"  {c.label} seed {c.seed}: {c.error}" for c in self.cells if not c.ok()]
         if failures:
-            lines.append("failures:")
-            for c in failures:
-                lines.append(f"  {c.label} seed {c.seed}: {c.error or 'not converged'}")
+            lines += ["failures:", *failures]
         return "\n".join(lines) + "\n"
 
     def render_csv(self) -> str:
-        lines = list(self.provenance)
-        lines.append("variant,seed,status,mae,mape_percent,rmse")
-        for c in self.cells:
-            if c.ok():
-                o = c.report.overall
-                lines.append(
-                    f"{c.label},{c.seed},ok,{o.mae:.6f},{o.mape:.6f},{o.rmse:.6f}"
-                )
-            else:
-                lines.append(f"{c.label},{c.seed},failed,,,")
-        lines.append("variant,summary,status,mae_mean_std,mape_mean_std,rmse_mean_std")
+        """The cell rows, then a mean +/- std row per variant."""
+        lines = ["variant,summary,status," + ",".join(
+            f"{name}_mean_std" for name, *_ in self.columns)]
         for label in self.labels:
-            s = self.summary(label)
-            if s:
-                lines.append(
-                    f"{label},mean,ok,{_pm(s['mae'])},{_pm(s['mape'])},{_pm(s['rmse'])}"
-                )
-            else:
-                lines.append(f"{label},mean,failed,,,")
-        return "\n".join(lines) + "\n"
+            shown = [_pm(pair) for pair in self.summary(label).values()]
+            status = "ok" if shown else "failed"
+            lines.append(",".join([label, "mean", status, *(shown or [""] * len(self.columns))]))
+        return super().render_csv() + "\n".join(lines) + "\n"
 
 
 def run_ablation(rc: RunConfig, ds: TimeSeriesDataset, seeds=None) -> AblationTable:
     """Train and evaluate the four variants per seed; summarize mean +/- std."""
     seeds = tuple(range(ABLATION_SEEDS_DEFAULT)) if seeds is None else tuple(seeds)
-    if not seeds:
-        raise UsageError("ablation needs at least one seed")
+
+    def configure(label, seed):
+        cfg = variant(replace(rc.model, seed=seed), label)
+        return replace(rc, model=cfg, seed=seed, variant=label)
+
+    cells = run_grid(rc, ds, VARIANTS, seeds, configure)
     prov = provenance_lines(rc, seeds)
     for label in VARIANTS:
         v = variant(rc.model, label)
         prov.append(f"# variant {label}: p={v.p} s={v.s}")
-    cells = []
-    for label in VARIANTS:
-        for s in seeds:
-            cfg = variant(replace(rc.model, seed=int(s)), label)
-            cell_rc = replace(rc, model=cfg, seed=int(s), variant=label)
-            try:
-                model, _ = train_model(cell_rc, ds)
-                report = evaluate_model(
-                    model, ds, cell_rc.metric_steps(), batch_size=rc.batch_size
-                )
-                cells.append(ExperimentCell(label, int(s), report))
-            except StunetError as exc:
-                cells.append(ExperimentCell(label, int(s), None, error=str(exc)))
-    return AblationTable(cells=cells, labels=VARIANTS, seeds=seeds, provenance=prov)
+    return AblationTable(cells, VARIANTS, OVERALL_COLUMNS, prov)
 
 
 @dataclass
-class UpsampleTable:
+class UpsampleTable(ExperimentTable):
     """Unpool-strategy x seed grid with per-horizon MSE and convergence flags."""
 
-    cells: list
-    steps: tuple
-    seeds: tuple
-    provenance: list
-
-    def _mse_cols(self, report) -> list:
-        by_step = {r.step: r for r in report.rows}
-        return [by_step[s].mse for s in self.steps]
+    HEADS = ("strategy", "converged")
+    STATUS = ("yes", "no")
 
     def render_text(self) -> str:
         lines = list(self.provenance)
-        head = f"{'strategy':<16} {'seed':>4} {'conv':>5}"
-        head += "".join(f" {f'mse@{s}':>12}" for s in self.steps)
-        head += f" {'mae':>12} {'rmse':>12}"
-        lines.append(head)
+        lines.append(f"{'strategy':<16} {'seed':>4} {'conv':>5}" + "".join(
+            f" {head:>12}" for _, head, _, _ in self.columns))
         for c in self.cells:
-            row = f"{c.label:<16} {c.seed:>4d} {'yes' if c.converged else 'no':>5}"
-            if c.ok():
-                row += "".join(f" {v:>12.6f}" for v in self._mse_cols(c.report))
-                row += f" {c.report.overall.mae:>12.6f} {c.report.overall.rmse:>12.6f}"
-            else:
-                row += f" {c.error or 'not converged':>12}"
-            lines.append(row)
-        return "\n".join(lines) + "\n"
-
-    def render_csv(self) -> str:
-        lines = list(self.provenance)
-        cols = ",".join(f"mse_step{s}" for s in self.steps)
-        lines.append(f"strategy,seed,converged,{cols},mae,rmse")
-        for c in self.cells:
-            flag = "yes" if c.converged else "no"
-            if c.ok():
-                vals = ",".join(f"{v:.6f}" for v in self._mse_cols(c.report))
-                lines.append(
-                    f"{c.label},{c.seed},{flag},{vals},"
-                    f"{c.report.overall.mae:.6f},{c.report.overall.rmse:.6f}"
-                )
-            else:
-                empty = "," * len(self.steps)
-                lines.append(f"{c.label},{c.seed},{flag}{empty},,")
+            shown = [f"{v:.6f}" for v in self.values(c.report)] if c.ok() else [c.error]
+            lines.append(f"{c.label:<16} {c.seed:>4d} {self.STATUS[not c.ok()]:>5} "
+                         + " ".join(f"{v:>12}" for v in shown))
         return "\n".join(lines) + "\n"
 
 
 def run_upsampling_comparison(rc: RunConfig, ds: TimeSeriesDataset,
                               seeds=None) -> UpsampleTable:
-    """Train once per unpool strategy and seed; non-convergence is recorded,
-    not raised."""
+    """Train once per unpool strategy and seed; failed and non-converged cells
+    are recorded, not raised."""
     if rc.model.p < 1:
         raise UsageError("upsampling comparison needs at least one pooling level")
     seeds = (rc.seed,) if seeds is None else tuple(seeds)
-    if not seeds:
-        raise UsageError("upsampling comparison needs at least one seed")
-    steps = rc.metric_steps()
-    cells = []
-    for mode in UNPOOL_MODES:
-        for s in seeds:
-            cfg = replace(rc.model, unpool_mode=mode, seed=int(s))
-            cell_rc = replace(rc, model=cfg, seed=int(s))
-            try:
-                model, _ = train_model(cell_rc, ds)
-                report = evaluate_model(model, ds, steps, batch_size=rc.batch_size)
-                finite = all(
-                    math.isfinite(r.mae) and math.isfinite(r.rmse)
-                    for r in report.all_rows()
-                )
-                cells.append(ExperimentCell(mode, int(s), report, converged=finite))
-            except NumericError as exc:
-                cells.append(
-                    ExperimentCell(mode, int(s), None, error=str(exc), converged=False)
-                )
-    return UpsampleTable(
-        cells=cells, steps=steps, seeds=seeds, provenance=provenance_lines(rc, seeds)
-    )
+
+    def configure(mode, seed):
+        return replace(rc, model=replace(rc.model, unpool_mode=mode, seed=seed), seed=seed)
+
+    cells = run_grid(rc, ds, UNPOOL_MODES, seeds, configure)
+    columns = tuple(
+        (f"mse@{s}", f"mse@{s}", f"mse_step{s}", lambda r, i=i: r.rows[i].mse)
+        for i, s in enumerate(rc.metric_steps())
+    ) + (OVERALL_COLUMNS[0], OVERALL_COLUMNS[2])
+    return UpsampleTable(cells, UNPOOL_MODES, columns, provenance_lines(rc, seeds))
 
 
 def write_report_files(out_dir: str, name: str, text: str, csv_text: str):

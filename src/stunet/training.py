@@ -47,8 +47,14 @@ class RunConfig:
             raise UsageError("epochs must be >= 0 and batch size >= 1")
         if self.lr <= 0 or not 0 < self.lr_decay <= 1 or self.lr_decay_every < 1:
             raise UsageError("learning-rate schedule fields out of range")
-        if self.horizons is not None and any(h < 1 for h in self.horizons):
-            raise UsageError("metric horizons are 1-based steps")
+        steps = self.metric_steps()
+        if not steps:
+            raise UsageError("metric horizons name no step")
+        for i, step in enumerate(steps):
+            if not 1 <= step <= self.model.h:
+                raise UsageError(f"metric horizon {step} lies outside 1..{self.model.h}")
+            if step in steps[:i]:
+                raise UsageError(f"metric horizon {step} is repeated")
 
     def lr_at(self, epoch: int) -> float:
         return self.lr * self.lr_decay ** (epoch // self.lr_decay_every)

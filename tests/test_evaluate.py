@@ -1,11 +1,16 @@
 """Metrics, historical-average baseline, reports, and experiment tables."""
 
 import math
+import os
+import shutil
+import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import path_graph
+from stunet import evaluate
 from stunet.data import (
     Normalizer,
     TimeSeriesDataset,
@@ -14,7 +19,7 @@ from stunet.data import (
     make_windows,
     synth_diffusion,
 )
-from stunet.errors import DimensionError, MetricError, UsageError
+from stunet.errors import DataError, DimensionError, MetricError, NumericError, UsageError
 from stunet.evaluate import (
     ha_baseline,
     horizon_report,
@@ -27,7 +32,8 @@ from stunet.evaluate import (
     run_upsampling_comparison,
     write_report_files,
 )
-from stunet.model import STUNetConfig
+from stunet.model import VARIANTS, STUNetConfig
+from stunet.sampling import UNPOOL_MODES
 from stunet.training import RunConfig, train_model
 
 
@@ -67,8 +73,9 @@ def test_horizon_report_structure_and_minutes():
     assert rep.overall.step == 0
     assert rep.overall.n_samples == 3 * 10 * 3
     assert rep.rmse_dominates()
-    with pytest.raises(UsageError):
-        horizon_report(pred, target, steps=(13,))
+    for bad in ((13,), (3, 6, 3)):
+        with pytest.raises(UsageError):
+            horizon_report(pred, target, steps=bad)
     with pytest.raises(DimensionError):
         horizon_report(pred[0], target[0])
 
@@ -188,7 +195,7 @@ def test_run_upsampling_comparison_structure():
     table = run_upsampling_comparison(rc, ds, seeds=(0,))
     labels = [c.label for c in table.cells]
     assert labels == ["direct_copy", "ordered_deconv", "weighted_deconv"]
-    assert all(c.converged for c in table.cells)
+    assert all(c.ok() for c in table.cells)
     text = table.render_text()
     assert "mse@1" in text and "mse@2" in text
     csv = table.render_csv()
@@ -205,3 +212,115 @@ def test_write_report_files(tmp_path):
     )
     assert open(text_path).read() == "hello\n"
     assert open(csv_path).read() == "a,b\n"
+
+
+# The two experiment tables rendered from fixed reports: training and evaluation
+# are replaced by fakes, so the golden files pin the rendering and the failure
+# policy, not the numbers of a real run. Each case maps (label, seed) cells to
+# how they end: "fail" raises a NumericError in training, "nan" evaluates to a
+# report whose first prediction is not finite.
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "grid_golden")
+GRID_CASES = {
+    "one_failed": {("S-UNet", 1): "fail", ("ordered_deconv", 1): "fail"},
+    "label_failed": {
+        ("T-UNet", 0): "fail", ("T-UNet", 1): "fail",
+        ("weighted_deconv", 0): "fail", ("weighted_deconv", 1): "fail",
+    },
+    "not_converged": {("GCGRU", 0): "nan", ("direct_copy", 1): "nan"},
+}
+GRID_TABLES = {
+    "ablation": (evaluate.run_ablation, lambda rc: rc.variant),
+    "upsample_compare": (evaluate.run_upsampling_comparison, lambda rc: rc.model.unpool_mode),
+}
+
+
+def fake_grid(monkeypatch, outcomes, label_of, error=NumericError):
+    """Replace training with the cell's RunConfig and evaluation with a report
+    whose errors are multiples of 1/8, set by the cell's label and seed."""
+    labels = VARIANTS + UNPOOL_MODES
+
+    def train(rc, ds):
+        key = (label_of(rc), rc.seed)
+        if outcomes.get(key) == "fail":
+            raise error(f"loss is nan at epoch 1 ({key[0]} seed {key[1]})")
+        return rc, []
+
+    def evaluate_model(rc, ds, steps, batch_size):
+        target = np.arange(24.0).reshape(3, 2, 4, 1) % 5 + 1
+        pattern = np.arange(24.0).reshape(target.shape) % 5 - 2
+        label = label_of(rc)
+        pred = target + pattern * ((1 + rc.seed) * 0.25 + 0.125 * labels.index(label))
+        if outcomes.get((label, rc.seed)) == "nan":
+            pred[0, 0, 0, 0] = np.nan
+        return horizon_report(pred, target, steps, 5.0)
+
+    monkeypatch.setattr(evaluate, "train_model", train)
+    monkeypatch.setattr(evaluate, "evaluate_model", evaluate_model)
+    monkeypatch.setattr(evaluate, "_commit_id", lambda: "0000000")
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+@pytest.mark.parametrize("name", sorted(GRID_TABLES))
+def test_experiment_tables_match_golden(monkeypatch, name, case):
+    runner, label_of = GRID_TABLES[name]
+    fake_grid(monkeypatch, GRID_CASES[case], label_of)
+    ds, rc = micro_setup()
+    table = runner(rc, ds, seeds=(0, 1))
+    for ext, got in (("txt", table.render_text()), ("csv", table.render_csv())):
+        with open(os.path.join(GOLDEN, f"{case}_{name}.{ext}"), "rb") as fh:
+            assert got.encode("utf-8") == fh.read(), f"{case}_{name}.{ext}"
+
+
+def test_upsampling_records_any_stunet_error_in_its_cell(monkeypatch):
+    fake_grid(monkeypatch, {("ordered_deconv", 0): "fail"}, GRID_TABLES["upsample_compare"][1],
+              error=DataError)
+    ds, rc = micro_setup()
+    table = run_upsampling_comparison(rc, ds, seeds=(0, 1))
+    failed = [(c.label, c.seed, c.error) for c in table.cells if not c.ok()]
+    assert failed == [("ordered_deconv", 0, "loss is nan at epoch 1 (ordered_deconv seed 0)")]
+    assert len(table.cells) == 6
+
+
+def test_run_grid_propagates_errors_outside_the_package(monkeypatch):
+    fake_grid(monkeypatch, {("T-UNet", 1): "fail"}, lambda rc: rc.variant, error=RuntimeError)
+    ds, rc = micro_setup()
+
+    def configure(label, seed):
+        return replace(rc, variant=label, seed=seed)
+
+    with pytest.raises(RuntimeError, match="T-UNet seed 1"):
+        evaluate.run_grid(rc, ds, ("GCGRU", "T-UNet"), (0, 1), configure)
+
+
+def test_run_grid_rejects_bad_seeds_and_horizons_before_training(monkeypatch):
+    def train(rc, ds):
+        raise AssertionError("a cell was trained")
+
+    monkeypatch.setattr(evaluate, "train_model", train)
+    ds, rc = micro_setup()
+    with pytest.raises(UsageError, match="'0,1,0'"):
+        run_ablation(rc, ds, seeds=(0, 1, 0))
+    with pytest.raises(UsageError):
+        run_upsampling_comparison(rc, ds, seeds=())
+    for horizons, step in (((3,), "3"), ((1, 2, 1), "1")):
+        bad = replace(rc, horizons=horizons)
+        for runner in (run_ablation, run_upsampling_comparison):
+            with pytest.raises(UsageError, match=f"horizon {step} "):
+                runner(bad, ds, seeds=(0,))
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_commit_id_names_the_package_checkout_not_the_cwd(tmp_path, monkeypatch):
+    def git(*args, cwd):
+        out = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+    monkeypatch.chdir(tmp_path)
+    git("init", "-q", cwd=tmp_path)
+    git("-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", "commit",
+        "-q", "--allow-empty", "-m", "other", cwd=tmp_path)
+    other = git("rev-parse", "--short", "HEAD", cwd=tmp_path)
+    assert other != "unknown"
+    package = os.path.dirname(evaluate.__file__)
+    assert evaluate._commit_id() == git("rev-parse", "--short", "HEAD", cwd=package)
+    assert evaluate._commit_id() != other

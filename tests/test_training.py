@@ -49,6 +49,10 @@ def test_run_config_validation():
         RunConfig(model=STUNetConfig(), lr_decay=1.5).validate()
     with pytest.raises(UsageError):
         RunConfig(model=STUNetConfig(), horizons=(0,)).validate()
+    for horizons, message in (((4,), "horizon 4 lies outside 1..3"), ((2, 2), "horizon 2 is "),
+                              ((), "name no step")):
+        with pytest.raises(UsageError, match=message):
+            RunConfig(model=STUNetConfig(h=3), horizons=horizons).validate()
     rc = RunConfig(model=STUNetConfig(h=3))
     assert rc.metric_steps() == (1, 2, 3)
 
