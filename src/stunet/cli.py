@@ -32,7 +32,7 @@ _configure_threads()
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .data import (
     TimeSeriesDataset,
@@ -46,7 +46,9 @@ from .data import (
     write_manifest,
 )
 from .errors import DataError, StunetError, UsageError
-from .model import STUNetConfig, load_checkpoint, parse_field, save_checkpoint, variant
+from .model import (
+    STUNetConfig, load_checkpoint, parse_field, read_checkpoint_config, save_checkpoint, variant,
+)
 from .partition import multilevel_partition
 from .training import RunConfig, train_model, write_history
 
@@ -146,6 +148,8 @@ def cmd_eval(args) -> int:
 
     rc, extras = run_config_from_mapping(_mapping_from_args(args))
     ckpt = _require(rc.ckpt_path, "checkpoint path (--ckpt or ckpt_path=)")
+    # the run keys, and the horizons against the stored h, fail before any data is read
+    replace(rc, model=read_checkpoint_config(ckpt)).validate()
     ds = _load_dataset(rc, extras)
     model = load_checkpoint(ckpt, ds.graph)
     report = evaluate_model(model, ds, rc.horizons, batch_size=rc.batch_size)

@@ -324,6 +324,10 @@ def synth_diffusion(
         raise UsageError("alpha must lie in [0, 1)")
     if t < 2:
         raise UsageError("need at least 2 steps")
+    if not 0 <= noise_sigma < np.inf:
+        raise UsageError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if not 0 < interval_minutes < np.inf:
+        raise UsageError(f"interval_minutes must be finite and > 0, got {interval_minutes}")
     deg = graph.degrees()
     if mode == "row":
         a = np.where(deg[:, None] > 0, graph.weights / np.where(deg == 0, 1.0, deg)[:, None], 0.0)

@@ -29,21 +29,9 @@ from .errors import CheckpointError, DimensionError, ModelError, StunetError, Us
 from .graph import ChebKernel, Graph, GraphLaplacian, cheb_filter, normalized_laplacian
 from .partition import PartitionMap, multilevel_partition
 from .recurrent import (
-    DilationSchedule,
-    GCGRUState,
-    GCGRUWeights,
-    decode,
-    dilated_layer_forward,
-    encode,
-    init_gcgru_weights,
+    GCGRUState, GCGRUWeights, decode, dilated_layer_forward, encode, init_gcgru_weights,
 )
-from .sampling import (
-    UNPOOL_MODES,
-    UnpoolStrategy,
-    init_unpool,
-    skip_concat,
-    unpool,
-)
+from .sampling import UNPOOL_MODES, UnpoolStrategy, init_unpool, unpool
 from .tensor import Tensor, member_table
 
 VARIANTS = ("GCGRU", "T-UNet", "S-UNet", "ST-UNet")
@@ -160,10 +148,10 @@ def variant(config: STUNetConfig, which: str) -> STUNetConfig:
 
 @dataclass
 class STUNetParams:
-    """Every learnable tensor and persistent buffer, each registered once."""
+    """Every learnable tensor and persistent buffer, each registered once; a
+    buffer is a tensor that requires no gradient."""
 
     entries: list  # (name, Tensor) in registration order
-    buffer_names: set
 
     def register(self, name: str, t: Tensor) -> Tensor:
         if any(n == name for n, _ in self.entries):
@@ -171,13 +159,8 @@ class STUNetParams:
         self.entries.append((name, t))
         return t
 
-    def register_buffer(self, name: str, t: Tensor) -> Tensor:
-        self.register(name, t)
-        self.buffer_names.add(name)
-        return t
-
     def trainable(self) -> list:
-        return [t for n, t in self.entries if n not in self.buffer_names]
+        return [t for _, t in self.entries if t.requires_grad]
 
 
 class STUNet:
@@ -195,15 +178,11 @@ class STUNet:
                        else PartitionMap.from_parents(graph, parents))
         graphs = self.pm.graphs if self.pm else [graph]
         self.laps = [normalized_laplacian(g, lam) for g, lam in zip(graphs, lambdas)]
-        self.params = STUNetParams(entries=[], buffer_names=set())
+        self.params = STUNetParams(entries=[])
         self._init_params(np.random.default_rng(config.seed))
         # persistent normalization buffers, identity until a trainer fits them
-        self.norm_mean = self.params.register_buffer(
-            "norm.mean", Tensor(np.zeros(config.d_in))
-        )
-        self.norm_std = self.params.register_buffer(
-            "norm.std", Tensor(np.ones(config.d_in))
-        )
+        self.norm_mean = self.params.register("norm.mean", Tensor(np.zeros(config.d_in)))
+        self.norm_std = self.params.register("norm.std", Tensor(np.ones(config.d_in)))
 
     # -- construction ------------------------------------------------------
 
@@ -249,10 +228,7 @@ class STUNet:
         )
 
     def _register_cell(self, prefix: str, w: GCGRUWeights) -> None:
-        names = ["w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h"]
-        if w.ln_gain is not None:
-            names += ["ln_gain", "ln_bias"]
-        for name, t in zip(names, w.params()):
+        for name, t in w.named_params():
             self.params.register(f"{prefix}.{name}", t)
 
     # -- forward -----------------------------------------------------------
@@ -275,12 +251,11 @@ class STUNet:
                 f"(N={self.graph.n}, D_in={cfg.d_in})"
             )
         stages = len(cfg.hidden_sizes)
-        dilations = [cfg.s ** k for k in range(stages)]
         enc_outs = encode(
             self.enc_layers,
             [self._lap_at_stage(k) for k in range(stages)],
             inputs,
-            DilationSchedule(dilations),
+            [cfg.s ** k for k in range(stages)],
             pm=self.pm,
             pool_mode=cfg.pool_mode,
             pool_levels=cfg.p,
@@ -289,7 +264,7 @@ class STUNet:
         for k in reversed(range(len(self.up_layers))):  # none in the plain stack
             if k < cfg.p:
                 x = unpool(x, self.pm, self.unpools[k], from_level=k + 1, to_level=k)
-            x = skip_concat(x, enc_outs[k])
+            x = T.concat_channels(x, enc_outs[k])  # encoder channels last
             x = T.matmul(x, self.up_fuse[k])
             x = dilated_layer_forward(self.up_layers[k], self._lap_at_stage(k), x, 1)
         conv = cheb_filter(self.readout_k, self.laps[0])  # one kernel fold per forward

@@ -10,16 +10,18 @@ s maintains s interleaved recurrence chains. The layer runs them side by side:
 it walks the sequence in blocks of s consecutive steps, which hold one step of
 every chain on the leading axis, and one cell step advances a whole block from
 the previous block's output, writing it into one buffer for the layer.
-Encoding runs a stack of such layers with optional spatial pooling between
-them; decoding rolls a cell forward step by step, feeding back its own
-predictions (or, during training, the ground truth with the scheduled
-sampling probability), so its input side is computed per step.
+Encoding runs a stack of such layers, one dilation per layer with the first
+undilated, and pools one spatial level between stages; decoding rolls a cell
+forward step by step, feeding back its own predictions (or, during training,
+the ground truth with the scheduled sampling probability), so its input side
+is computed per step. A cell's parameters are its dataclass fields, read in
+field order by ``GCGRUWeights.named_params``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,15 +92,16 @@ class GCGRUWeights:
     def d_h(self) -> int:
         return self.w_z.c_out
 
+    def named_params(self):
+        """(field name, tensor) pairs in field order: a kernel gives its theta,
+        and an absent layer norm gives nothing."""
+        for f in fields(self):
+            t = getattr(self, f.name)
+            if t is not None:
+                yield f.name, t.theta if isinstance(t, ChebKernel) else t
+
     def params(self) -> list:
-        out = [
-            self.w_z.theta, self.w_r.theta, self.w_h.theta,
-            self.u_z.theta, self.u_r.theta, self.u_h.theta,
-            self.b_z, self.b_r, self.b_h,
-        ]
-        if self.ln_gain is not None:
-            out.extend([self.ln_gain, self.ln_bias])
-        return out
+        return [t for _, t in self.named_params()]
 
 
 @dataclass
@@ -106,22 +109,6 @@ class GCGRUState:
     """Hidden state of one recurrence chain."""
 
     h: Tensor
-
-
-@dataclass
-class DilationSchedule:
-    """Per-layer skip lengths; the input-facing layer always runs undilated."""
-
-    dilations: list
-
-    def __post_init__(self):
-        if not self.dilations:
-            raise UsageError("dilation schedule must cover at least one layer")
-        if any(int(s) < 1 for s in self.dilations):
-            raise UsageError("dilations must be >= 1")
-        if int(self.dilations[0]) != 1:
-            raise UsageError("layer 0 must have dilation 1")
-        self.dilations = [int(s) for s in self.dilations]
 
 
 def init_gcgru_weights(
@@ -307,7 +294,7 @@ def encode(
     layers: list,
     laps: list,
     inputs: Tensor,
-    schedule: DilationSchedule,
+    dilations: list,
     pm=None,
     pool_mode: str = "max",
     pool_levels: int = 0,
@@ -315,18 +302,20 @@ def encode(
     """Run the downsampling-side stack.
 
     Layer k consumes the (possibly pooled) output of layer k-1 using laps[k]
-    and dilation schedule.dilations[k]; after layer k the signal is pooled one
-    spatial level when k < pool_levels. Returns the per-layer output
-    sequences, which feed the skip connections.
+    and dilation dilations[k], where layer 0 runs undilated; after layer k the
+    signal is pooled one spatial level when k < pool_levels. Returns the
+    per-layer output sequences, which feed the skip connections.
     """
-    if len(layers) != len(laps) or len(layers) != len(schedule.dilations):
+    if not len(layers) == len(laps) == len(dilations):
         raise ModelError("layers, laplacians and dilations must align")
+    if not dilations or dilations[0] != 1:
+        raise UsageError(f"dilations {dilations} must start with 1: layer 0 runs undilated")
     if pool_levels > 0 and pm is None:
         raise ModelError("pooling requested without a partition hierarchy")
     outputs = []
     x = inputs
     for k, w in enumerate(layers):
-        y = dilated_layer_forward(w, laps[k], x, schedule.dilations[k])
+        y = dilated_layer_forward(w, laps[k], x, dilations[k])
         outputs.append(y)
         x = y
         if k < pool_levels and k + 1 < len(layers):

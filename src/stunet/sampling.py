@@ -1,16 +1,18 @@
 """Spatial pooling and unpooling over a coarsening hierarchy.
 
-Pooling reduces node signals one level at a time with a per-supernode max or
-mean, so a mean round trip through direct-copy unpooling reproduces
-within-supernode-constant features exactly (each level merges at most two
-nodes and (v+v)/2 is exact in binary floating point; a one-shot mean over
-four equal values is not). Unpooling lifts coarse signals back level by
-level with one of three strategies: plain copy, a learned per-slot linear
-(slot order given by finer-graph degree), or the slot output concatenated
-with member structure statistics and linearly mixed. Every strategy reads
-each finer node from its supernode's row with one gather; the learned ones
-first multiply the coarse rows by all slot matrices in one product. The
-slots and the statistics are built once, with the partition map.
+``g_pooling`` and ``unpool`` each walk a range of levels, checking the node
+extent at every level; the U model moves one level per stage. Pooling
+reduces node signals with a per-supernode max or mean, so a mean round trip
+through direct-copy unpooling reproduces within-supernode-constant features
+exactly (each level merges at most two nodes and (v+v)/2 is exact in binary
+floating point; a one-shot mean over four equal values is not). Unpooling
+lifts coarse signals back with one of three strategies: plain copy, a
+learned per-slot linear (slot order given by finer-graph degree), or the
+slot output concatenated with member structure statistics and linearly
+mixed. Every strategy reads each finer node from its supernode's row with
+one gather; the learned ones first multiply the coarse rows by all slot
+matrices in one product. The slots and the statistics are built once, with
+the partition map.
 """
 
 from __future__ import annotations
@@ -65,13 +67,6 @@ def init_unpool(rng: np.random.Generator, mode: str, channels: int) -> UnpoolStr
     return UnpoolStrategy(mode, slot_w=slots, mix_w=mix)
 
 
-def pool_one(x: Tensor, pm: PartitionMap, level: int, mode: str) -> Tensor:
-    """Pool one level: node extent graphs[level].n down to graphs[level+1].n."""
-    _check_level(pm, level)
-    _check_nodes(x, pm.graphs[level].n)
-    return T.segment_reduce(x, pm.parents[level], mode)
-
-
 def g_pooling(
     x: Tensor,
     pm: PartitionMap,
@@ -79,13 +74,15 @@ def g_pooling(
     from_level: int = 0,
     to_level: int | None = None,
 ) -> Tensor:
-    """Pool level by level from ``from_level`` to ``to_level`` (coarser)."""
+    """Pool level by level from ``from_level`` to ``to_level`` (coarser): each
+    level reduces node extent graphs[k].n to graphs[k+1].n."""
     if to_level is None:
         to_level = pm.levels
     if not 0 <= from_level <= to_level <= pm.levels:
         raise UsageError(f"bad pooling range {from_level}..{to_level}")
     for k in range(from_level, to_level):
-        x = pool_one(x, pm, k, mode)
+        _check_nodes(x, pm.graphs[k].n)
+        x = T.segment_reduce(x, pm.parents[k], mode)
     return x
 
 
@@ -97,36 +94,6 @@ def st_pool_spatial(seq: Tensor, pm: PartitionMap, mode: str, from_level: int = 
     return g_pooling(seq, pm, mode, from_level, to_level)
 
 
-def unpool_one(x: Tensor, pm: PartitionMap, level: int, strategy: UnpoolStrategy) -> Tensor:
-    """Lift one level: node extent graphs[level+1].n up to graphs[level].n.
-
-    Each finer node gathers its supernode's row; the learned modes gather row
-    ``parent * MAX_GROUP + slot`` of the coarse rows times all slot matrices,
-    read as MAX_GROUP rows per supernode.
-    """
-    _check_level(pm, level)
-    _check_nodes(x, pm.graphs[level + 1].n)
-    if strategy.mode not in UNPOOL_MODES:
-        raise UsageError(f"unknown unpooling strategy {strategy.mode!r}")
-    parent = pm.parents[level]
-    if strategy.mode == "direct_copy":
-        return T.gather_rows(x, parent)
-    slot = pm.slots[level]
-    if slot.max(initial=0) >= MAX_GROUP:
-        raise PartitionError(f"level {level} has a supernode of over {MAX_GROUP} members")
-    slotted = T.matmul(x, T.concat_channels(*strategy.slot_w))
-    slotted = T.reshape(slotted, x.data.shape[:-2] + (MAX_GROUP * x.data.shape[-2], -1))
-    lifted = T.gather_rows(slotted, parent * MAX_GROUP + slot)
-    if strategy.mode == "ordered_deconv":
-        return lifted
-    stats = pm.member_stats[level]
-    wide = np.ascontiguousarray(
-        np.broadcast_to(stats, lifted.data.shape[:-1] + (STRUCT_FEATURES,))
-    )
-    cat = T.concat_channels(lifted, Tensor(wide))
-    return T.matmul(cat, strategy.mix_w)
-
-
 def unpool(
     x: Tensor,
     pm: PartitionMap,
@@ -135,30 +102,35 @@ def unpool(
     to_level: int = 0,
 ) -> Tensor:
     """Unpool level by level from ``from_level`` (default coarsest) down to
-    ``to_level``, reusing the same strategy weights at every level."""
+    ``to_level``, reusing the same strategy weights at every level.
+
+    Each level lifts node extent graphs[k+1].n to graphs[k].n: every finer
+    node gathers its supernode's row; the learned modes gather row
+    ``parent * MAX_GROUP + slot`` of the coarse rows times all slot matrices,
+    read as MAX_GROUP rows per supernode.
+    """
     if from_level is None:
         from_level = pm.levels
     if not 0 <= to_level <= from_level <= pm.levels:
         raise UsageError(f"bad unpooling range {from_level}..{to_level}")
+    if strategy.mode not in UNPOOL_MODES:
+        raise UsageError(f"unknown unpooling strategy {strategy.mode!r}")
     for k in range(from_level - 1, to_level - 1, -1):
-        x = unpool_one(x, pm, k, strategy)
+        _check_nodes(x, pm.graphs[k + 1].n)
+        parent = pm.parents[k]
+        if strategy.mode == "direct_copy":
+            x = T.gather_rows(x, parent)
+            continue
+        slot = pm.slots[k]
+        if slot.max(initial=0) >= MAX_GROUP:
+            raise PartitionError(f"level {k} has a supernode of over {MAX_GROUP} members")
+        slotted = T.matmul(x, T.concat_channels(*strategy.slot_w))
+        slotted = T.reshape(slotted, x.data.shape[:-2] + (MAX_GROUP * x.data.shape[-2], -1))
+        x = T.gather_rows(slotted, parent * MAX_GROUP + slot)
+        if strategy.mode == "weighted_deconv":
+            wide = np.broadcast_to(pm.member_stats[k], x.data.shape[:-1] + (STRUCT_FEATURES,))
+            x = T.matmul(T.concat_channels(x, Tensor(np.ascontiguousarray(wide))), strategy.mix_w)
     return x
-
-
-def skip_concat(upsampled: Tensor, encoder_features: Tensor) -> Tensor:
-    """Join decoder-path features with same-level encoder features, encoder
-    features last."""
-    if upsampled.data.shape[:-1] != encoder_features.data.shape[:-1]:
-        raise DimensionError(
-            f"skip_concat extents differ: {upsampled.data.shape} vs "
-            f"{encoder_features.data.shape}"
-        )
-    return T.concat_channels(upsampled, encoder_features)
-
-
-def _check_level(pm: PartitionMap, level: int) -> None:
-    if not 0 <= level < pm.levels:
-        raise UsageError(f"level {level} outside hierarchy with {pm.levels} levels")
 
 
 def _check_nodes(x: Tensor, n: int) -> None:

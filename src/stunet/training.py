@@ -43,6 +43,8 @@ class RunConfig:
         for name in ("lr", "clip_norm", "ss_tau", "interval_minutes"):
             if not np.isfinite(getattr(self, name)):
                 raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.interval_minutes <= 0:
+            raise UsageError(f"interval_minutes must be > 0, got {self.interval_minutes}")
         if self.epochs < 0 or self.batch_size < 1:
             raise UsageError("epochs must be >= 0 and batch size >= 1")
         if self.lr <= 0 or not 0 < self.lr_decay <= 1 or self.lr_decay_every < 1:
@@ -95,6 +97,7 @@ def _to_time_major(windows: np.ndarray) -> np.ndarray:
 
 def predict_windows(model: STUNet, inputs: np.ndarray, batch_size: int = 50) -> np.ndarray:
     """Forward normalized windows (W, J, N, D) -> (W, H, N, D), no recording."""
+    _check_batch_size(batch_size)
     chunks = []
     with T.no_grad():
         for lo in range(0, inputs.shape[0], batch_size):
@@ -107,6 +110,7 @@ def predict_windows(model: STUNet, inputs: np.ndarray, batch_size: int = 50) -> 
 def dataset_loss(model: STUNet, inputs: np.ndarray, targets: np.ndarray,
                  batch_size: int = 50) -> float:
     """Mean forward loss over normalized windows, without recording."""
+    _check_batch_size(batch_size)
     total = 0.0
     with T.no_grad():
         for lo in range(0, inputs.shape[0], batch_size):
@@ -115,6 +119,11 @@ def dataset_loss(model: STUNet, inputs: np.ndarray, targets: np.ndarray,
             val = loss(model.forward(Tensor(xb)), Tensor(yb)).item()
             total += val * xb.shape[1]
     return total / inputs.shape[0]
+
+
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise UsageError(f"batch size must be >= 1, got {batch_size}")
 
 
 def normalized_copy(ds: TimeSeriesDataset, norm: Normalizer) -> TimeSeriesDataset:

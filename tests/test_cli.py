@@ -397,6 +397,48 @@ def test_predict_reports_a_bad_checkpoint_config_as_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "model.ckpt" in err and "j='x'" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--set", "batch_size=0"], "batch size >= 1"),
+    (["--horizons", "3"], "metric horizon 3 lies outside 1..2"),
+])
+def test_eval_rejects_bad_settings_before_forecasting(tmp_path, monkeypatch, capsys,
+                                                      flags, message):
+    from stunet import evaluate, training
+    from stunet.model import build, save_checkpoint
+
+    data = synth_dir(tmp_path)
+    adj = os.path.join(data, "adjacency.csv")
+    ckpt = os.path.join(str(tmp_path), "model.ckpt")
+    save_checkpoint(build(STUNetConfig(k=2, p=1, hidden_sizes=(4, 4), j=6, h=2),
+                          load_adjacency(adj)), ckpt)
+
+    def no_forecast(*args, **kwargs):
+        raise AssertionError("a window was forecast")
+
+    monkeypatch.setattr(evaluate, "predict_windows", no_forecast)
+    monkeypatch.setattr(training, "predict_windows", no_forecast)
+    capsys.readouterr()
+    rv = cli.main(["eval", "--adj", adj, "--series", os.path.join(data, "series.csv"),
+                   "--ckpt", ckpt, "--out", str(tmp_path), *flags])
+    assert rv == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not os.path.exists(os.path.join(str(tmp_path), "metrics.txt"))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--noise-sigma", "-1", "noise_sigma must be finite and >= 0, got -1.0"),
+    ("--interval", "nan", "interval_minutes must be finite and > 0, got nan"),
+    ("--interval", "-5", "interval_minutes must be finite and > 0, got -5.0"),
+])
+def test_synth_rejects_a_bad_noise_sigma_or_interval(tmp_path, capsys, flag, value, message):
+    out = os.path.join(str(tmp_path), "data")
+    rv = cli.main(["synth", "--t", "20", flag, value, "--out", out])
+    assert rv == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
+
+
 def test_synth_manifest_errors_name_the_field(tmp_path, capsys):
     out = synth_dir(tmp_path)
     text = open(os.path.join(out, "manifest.txt")).read()

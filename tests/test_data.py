@@ -225,6 +225,19 @@ def test_synth_diffusion_basic_properties():
         synth_diffusion(g, t=1, alpha=0.5, noise_sigma=0.0, seed=0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_synth_diffusion_rejects_a_bad_noise_sigma(bad):
+    with pytest.raises(UsageError, match=f"noise_sigma must be finite and >= 0, got {bad}"):
+        synth_diffusion(knn_grid_graph(2, 3), t=10, alpha=0.5, noise_sigma=bad, seed=0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -5.0, float("nan"), float("inf")])
+def test_synth_diffusion_rejects_a_bad_interval(bad):
+    with pytest.raises(UsageError, match=f"interval_minutes must be finite and > 0, got {bad}"):
+        synth_diffusion(knn_grid_graph(2, 3), t=10, alpha=0.5, noise_sigma=0.0, seed=0,
+                        interval_minutes=bad)
+
+
 def test_synth_diffusion_alpha_zero_is_constant():
     g = knn_grid_graph(2, 2)
     ds = synth_diffusion(g, t=10, alpha=0.0, noise_sigma=0.0, seed=3)

@@ -132,6 +132,7 @@ def test_buffers_excluded_from_training():
     assert model.norm_std not in trainable
     names = [n for n, _ in model.params.entries]
     assert "norm.mean" in names and "norm.std" in names
+    assert len(trainable) == len(names) - 2
 
 
 def test_scheduled_sampling_affects_forward():

@@ -11,7 +11,6 @@ from stunet.data import knn_grid_graph
 from stunet.errors import DimensionError, ModelError, NumericError, UsageError
 from stunet.graph import ChebKernel, GraphLaplacian, cheb_basis, kernel_matrix, normalized_laplacian
 from stunet.recurrent import (
-    DilationSchedule,
     FoldedCell,
     GCGRUState,
     GCGRUWeights,
@@ -57,13 +56,19 @@ def test_scheduled_sampling_is_zero_where_the_decay_overflows():
 
 
 def test_dilation_schedule_validation():
-    DilationSchedule([1, 2, 4])
+    rng = np.random.default_rng(15)
+    lap = normalized_laplacian(path_graph(4))
+    layers = [init_gcgru_weights(rng, 2, 2, 3), init_gcgru_weights(rng, 2, 3, 3)]
+    seq = Tensor(rng.normal(size=(5, 4, 2)))
+    assert [y.shape for y in encode(layers, [lap, lap], seq, [1, 2])] == [(5, 4, 3)] * 2
     with pytest.raises(UsageError):
-        DilationSchedule([])
+        encode([], [], seq, [])
     with pytest.raises(UsageError):
-        DilationSchedule([2, 4])
+        encode(layers, [lap, lap], seq, [2, 4])
     with pytest.raises(UsageError):
-        DilationSchedule([1, 0])
+        encode(layers, [lap, lap], seq, [1, 0])
+    with pytest.raises(ModelError):
+        encode(layers, [lap, lap], seq, [1, 2, 4])
 
 
 def test_init_shapes_and_param_order():
@@ -74,6 +79,11 @@ def test_init_shapes_and_param_order():
     assert len(w.params()) == 9
     wn = make_weights(0, layer_norm=True)
     assert len(wn.params()) == 11
+    names = ["w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h"]
+    assert [n for n, _ in w.named_params()] == names
+    assert [n for n, _ in wn.named_params()] == names + ["ln_gain", "ln_bias"]
+    assert all(t is u for (_, t), u in zip(wn.named_params(), wn.params()))
+    assert wn.params()[0] is wn.w_z.theta and wn.params()[-1] is wn.ln_bias
     assert np.array_equal(wn.ln_gain.data, np.ones(3))
 
 
@@ -199,7 +209,7 @@ def test_encode_pools_between_layers():
     ]
     seq = Tensor(rng.normal(size=(5, 8, 2)))
     outputs = encode(
-        layers, laps, seq, DilationSchedule([1, 2]), pm=pm, pool_levels=1
+        layers, laps, seq, [1, 2], pm=pm, pool_levels=1
     )
     assert outputs[0].shape == (5, 8, 3)
     assert outputs[1].shape == (5, pm.graphs[1].n, 4)
@@ -211,7 +221,7 @@ def test_encode_without_partition_rejects_pooling():
     layers = [init_gcgru_weights(rng, 2, 2, 3)]
     seq = Tensor(rng.normal(size=(3, 4, 2)))
     with pytest.raises(ModelError):
-        encode(layers, [lap], seq, DilationSchedule([1]), pool_levels=1)
+        encode(layers, [lap], seq, [1], pool_levels=1)
 
 
 def decoder_fixture(seed):

@@ -14,11 +14,8 @@ from stunet.sampling import (
     UnpoolStrategy,
     g_pooling,
     init_unpool,
-    pool_one,
-    skip_concat,
     st_pool_spatial,
     unpool,
-    unpool_one,
 )
 from stunet.tensor import Tensor
 
@@ -35,18 +32,18 @@ def square_pm():
 def test_pool_hand_values():
     pm = square_pm()
     x = Tensor(np.array([[1.0], [3.0], [2.0], [6.0]]))
-    assert np.array_equal(pool_one(x, pm, 0, "mean").data, [[2.0], [4.0]])
-    assert np.array_equal(pool_one(x, pm, 0, "max").data, [[3.0], [6.0]])
+    assert np.array_equal(g_pooling(x, pm, "mean", 0, 1).data, [[2.0], [4.0]])
+    assert np.array_equal(g_pooling(x, pm, "max", 0, 1).data, [[3.0], [6.0]])
     with pytest.raises(UsageError):
-        pool_one(x, pm, 0, "sum")
+        g_pooling(x, pm, "sum", 0, 1)
 
 
 def test_pool_rejects_wrong_node_count():
     pm = square_pm()
     with pytest.raises(DimensionError):
-        pool_one(Tensor(np.zeros((3, 1))), pm, 0, "mean")
+        g_pooling(Tensor(np.zeros((3, 1))), pm, "mean", 0, 1)
     with pytest.raises(UsageError):
-        pool_one(Tensor(np.zeros((4, 1))), pm, 1, "mean")
+        g_pooling(Tensor(np.zeros((4, 1))), pm, "mean", 1, 2)
 
 
 def test_g_pooling_composes_levels():
@@ -54,7 +51,7 @@ def test_g_pooling_composes_levels():
     pm = multilevel_partition(g, 2)
     x = Tensor(np.random.default_rng(0).normal(size=(8, 3)))
     direct = g_pooling(x, pm, "mean")
-    stepped = pool_one(pool_one(x, pm, 0, "mean"), pm, 1, "mean")
+    stepped = g_pooling(g_pooling(x, pm, "mean", 0, 1), pm, "mean", 1, 2)
     assert np.array_equal(direct.data, stepped.data)
     assert direct.shape == (2, 3)
 
@@ -84,7 +81,7 @@ def test_mean_pool_direct_copy_roundtrip_exact():
 def test_direct_copy_replicates_parent_rows():
     pm = square_pm()
     coarse = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = unpool_one(coarse, pm, 0, UnpoolStrategy(mode="direct_copy"))
+    out = unpool(coarse, pm, UnpoolStrategy(mode="direct_copy"), 1, 0)
     assert np.array_equal(
         out.data, [[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]]
     )
@@ -98,8 +95,8 @@ def test_ordered_deconv_with_identity_slots_is_direct_copy():
         slot_w=[Tensor(eye.copy(), requires_grad=True) for _ in range(2)],
     )
     coarse = Tensor(np.random.default_rng(2).normal(size=(2, 3)))
-    out = unpool_one(coarse, pm, 0, strat)
-    copy = unpool_one(coarse, pm, 0, UnpoolStrategy(mode="direct_copy"))
+    out = unpool(coarse, pm, strat, 1, 0)
+    copy = unpool(coarse, pm, UnpoolStrategy(mode="direct_copy"), 1, 0)
     assert np.allclose(out.data, copy.data, atol=1e-15)
 
 
@@ -108,7 +105,7 @@ def test_ordered_deconv_slots_differentiate_members():
     rng = np.random.default_rng(3)
     strat = init_unpool(rng, "ordered_deconv", channels=3)
     coarse = Tensor(rng.normal(size=(2, 3)))
-    out = unpool_one(coarse, pm, 0, strat).data
+    out = unpool(coarse, pm, strat, 1, 0).data
     # the two members of one supernode see different linear maps
     assert not np.allclose(out[0], out[1])
 
@@ -125,8 +122,8 @@ def test_weighted_deconv_extends_ordered_output():
     )
     ordered = UnpoolStrategy(mode="ordered_deconv", slot_w=base.slot_w)
     coarse = Tensor(rng.normal(size=(2, 3)))
-    a = unpool_one(coarse, pm, 0, strat).data
-    b = unpool_one(coarse, pm, 0, ordered).data
+    a = unpool(coarse, pm, strat, 1, 0).data
+    b = unpool(coarse, pm, ordered, 1, 0).data
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -163,16 +160,6 @@ def test_unpool_batched_sequences():
     assert out.shape == (5, 2, 4, 3)
 
 
-def test_skip_concat_keeps_encoder_channels_last():
-    up = Tensor(np.ones((4, 2)))
-    enc = Tensor(np.full((4, 3), 7.0))
-    out = skip_concat(up, enc)
-    assert out.shape == (4, 5)
-    assert np.array_equal(out.data[:, 2:], enc.data)
-    with pytest.raises(DimensionError):
-        skip_concat(up, Tensor(np.ones((3, 3))))
-
-
 def test_pool_gradients():
     g = cycle_graph(8)
     pm = multilevel_partition(g, 2)
@@ -201,7 +188,7 @@ def test_unpool_gradients_all_strategies():
         )
 
 
-def _unpool_one_reference(x, pm, level, strategy):
+def _one_level_reference(x, pm, level, strategy):
     """Every finer node through every slot matrix, masked to its own slot."""
     copied = T.gather_rows(x, pm.parents[level])
     if strategy.mode == "direct_copy":
@@ -217,6 +204,10 @@ def _unpool_one_reference(x, pm, level, strategy):
         np.broadcast_to(pm.member_stats[level], lifted.data.shape[:-1] + (STRUCT_FEATURES,))
     )
     return T.matmul(T.concat_channels(lifted, Tensor(wide)), strategy.mix_w)
+
+
+def _one_level_unpool(x, pm, level, strategy):
+    return unpool(x, pm, strategy, level + 1, level)
 
 
 def _lift_with_grads(lift, xd, pm, level, strategy, g):
@@ -242,9 +233,11 @@ def test_unpool_one_matches_slot_loop_reference(mode):
                 for level in range(pm.levels):
                     xd = rng.normal(size=lead + (pm.graphs[level + 1].n, c))
                     g = rng.normal(size=lead + (pm.graphs[level].n, c))
-                    got, got_grads = _lift_with_grads(unpool_one, xd, pm, level, strategy, g)
+                    got, got_grads = _lift_with_grads(
+                        _one_level_unpool, xd, pm, level, strategy, g
+                    )
                     want, want_grads = _lift_with_grads(
-                        _unpool_one_reference, xd, pm, level, strategy, g
+                        _one_level_reference, xd, pm, level, strategy, g
                     )
                     assert got.tobytes() == want.tobytes()
                     for a, b in zip(got_grads, want_grads):
@@ -257,4 +250,4 @@ def test_unpool_rejects_supernodes_wider_than_the_slots():
     pm = PartitionMap(graphs=[cycle_graph(3), Graph(np.zeros((1, 1)))], parents=[np.zeros(3, int)])
     strategy = init_unpool(np.random.default_rng(27), "ordered_deconv", 2)
     with pytest.raises(PartitionError):
-        unpool_one(Tensor(np.ones((1, 2))), pm, 0, strategy)
+        unpool(Tensor(np.ones((1, 2))), pm, strategy, 1, 0)

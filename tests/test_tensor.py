@@ -202,6 +202,17 @@ def test_gradient_structural_ops():
     )
 
 
+def test_concat_channels_keeps_operand_order():
+    # the U model's skip join: decoder-path channels first, encoder channels last
+    up = Tensor(np.ones((4, 2)))
+    enc = Tensor(np.full((4, 3), 7.0))
+    out = T.concat_channels(up, enc)
+    assert out.shape == (4, 5)
+    assert np.array_equal(out.data[:, 2:], enc.data)
+    with pytest.raises(DimensionError):
+        T.concat_channels(up, Tensor(np.ones((3, 3))))
+
+
 def test_glorot_from_is_seeded_and_scaled():
     a = T.glorot_from(np.random.default_rng(9), (40, 30))
     b = T.glorot_from(np.random.default_rng(9), (40, 30))

@@ -53,6 +53,9 @@ def test_run_config_validation():
                               ((), "name no step")):
         with pytest.raises(UsageError, match=message):
             RunConfig(model=STUNetConfig(h=3), horizons=horizons).validate()
+    for bad in (0.0, -5.0):
+        with pytest.raises(UsageError, match=f"interval_minutes must be > 0, got {bad}"):
+            RunConfig(model=STUNetConfig(), interval_minutes=bad).validate()
     rc = RunConfig(model=STUNetConfig(h=3))
     assert rc.metric_steps() == (1, 2, 3)
 
@@ -120,6 +123,11 @@ def test_predict_windows_batching_consistency():
     large = predict_windows(model, windows, batch_size=64)
     assert small.shape == (9, 2, 8, 1)
     assert np.allclose(small, large, atol=1e-12)
+    for bad in (0, -1):
+        with pytest.raises(UsageError, match=f"batch size must be >= 1, got {bad}"):
+            predict_windows(model, windows, batch_size=bad)
+        with pytest.raises(UsageError, match=f"batch size must be >= 1, got {bad}"):
+            dataset_loss(model, windows, large, batch_size=bad)
 
 
 def test_config_hash_tracks_settings():
