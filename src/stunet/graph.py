@@ -1,26 +1,38 @@
 """Weighted graphs, normalized Laplacians, and Chebyshev graph convolution.
 
-Every graph is checked by ``Graph.__init__`` alone; edge lists and grids
-reach it through ``Graph.from_edges`` as one (m, 3) array. The convolution
-filters a node-signal matrix with a K-localized polynomial of the rescaled
-Laplacian, evaluated by the three-term recursion applied directly to the
-signal as one fused op. Each Laplacian fixes its product operator when
-it is built, by row width: padded-neighbour (ELL) index and weight arrays when
-the widest row is narrow against the node count, the dense rescaled matrix
-otherwise. lambda_max is exact (a dense symmetric eigensolve). An exact
-spectral form computed from a full eigendecomposition (cyclic Jacobi) is
+A graph is stored as its edge arrays (i, j, w) with i < j, sorted, w > 0;
+the dense adjacency is built only on request. ``Graph.__init__`` checks a
+dense matrix, ``Graph.from_edges`` an (m, 3) edge array or list. Degrees,
+the normalized Laplacian and its operator come from the edge arrays in
+O(|E|); degrees add each row's weights in column order, so they equal a
+dense row sum exactly for integer weights and to the last bit or so
+otherwise. The convolution filters a node-signal matrix with
+a K-localized polynomial of the rescaled Laplacian, evaluated by the
+three-term recursion applied directly to the signal as one fused op. Each
+Laplacian fixes its product operator when it is built, by row width:
+padded-neighbour (ELL) index and weight arrays when the widest row is narrow
+against the node count, the dense rescaled matrix otherwise. lambda_max is a
+dense symmetric eigensolve up to _EIGVALSH_MAX_N nodes; above that it is 2.0,
+the bound on the spectrum of a normalized Laplacian (exact when a component
+is bipartite, as on grids), so no N x N matrix is ever formed there. An
+exact spectral form from a full eigendecomposition (cyclic Jacobi) is
 provided for verification on small graphs only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, GraphError, UsageError
+from .spectral import (  # noqa: F401  (the spectral oracles are re-exported)
+    SpectralDecomposition,
+    estimate_lambda_max,
+    jacobi_eigh,
+    spectral_conv_oracle,
+)
 from .tensor import Tensor, apply_op
 
 _SYM_TOL = 1e-8
@@ -31,41 +43,52 @@ _ELL_CHUNK = 8
 # leading rows are gathered in blocks of about this many elements (512 KB),
 # so the gathered block is still in cache when it is reduced
 _GATHER_ELEMS = 1 << 16
+# lambda_max by a dense eigensolve up to this many nodes, the bound 2.0 above
+_EIGVALSH_MAX_N = 2000
 
 
 class Graph:
-    """Undirected weighted graph: symmetric nonnegative adjacency, zero diagonal.
-    An asymmetry up to _SYM_TOL is averaged away, a larger one is an error;
-    a symmetric matrix is stored as given."""
+    """Undirected weighted graph on nodes 0..n-1 as edge arrays (i, j, w),
+    i < j, lexicographic, w > 0. ``weights`` is the dense adjacency, built on
+    first use; a graph made from a dense matrix keeps it. A dense asymmetry up
+    to _SYM_TOL is averaged away, a larger one is an error; a symmetric matrix
+    is kept as given."""
 
-    __slots__ = ("n", "weights")
+    __slots__ = ("n", "_edges", "_weights", "_degrees")
 
     def __init__(self, weights: np.ndarray):
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise GraphError(f"adjacency must be square, got {w.shape}")
-        if not np.all(np.isfinite(w)):
+        rows, cols = _nonzero(w)  # every entry a check can fail on
+        vals = w[rows, cols]
+        if not np.all(np.isfinite(vals)):
             raise GraphError("adjacency holds non-finite values")
         with np.errstate(over="ignore"):  # a gap that overflows is an asymmetry
-            gap = np.abs(w - w.T)
+            gap = np.abs(vals - w[cols, rows])
         worst = gap.max(initial=0.0)
         if worst > _SYM_TOL:
             raise GraphError(f"adjacency asymmetric by {worst:.3e}")
         if worst:  # average only the pairs that differ, so no sum overflows
-            i, j = np.nonzero(gap)
+            i, j = rows[gap > 0], cols[gap > 0]
             w = w.copy()
-            w[i, j] = 0.5 * (w[i, j] + w[j, i])
-        if w.size and w.min() < 0:
+            w[i, j] = w[j, i] = 0.5 * (w[i, j] + w[j, i])
+            rows, cols = _nonzero(w)
+            vals = w[rows, cols]
+        if vals.min(initial=0.0) < 0:
             raise GraphError("negative weight in adjacency")
-        if np.any(np.diag(w)):
+        if np.any(rows == cols):
             raise GraphError("adjacency diagonal must be zero")
-        self.n = w.shape[0]
-        self.weights = w
+        up = rows < cols
+        self.n, self._edges, self._weights = w.shape[0], (rows[up], cols[up], vals[up]), w
+        self._degrees = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build from (i, j, w) triples, one (m, 3) array or a sequence of
         tuples; parallel entries, in either orientation, keep the max weight."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise GraphError(f"node count n={n!r} is not an integer >= 0")
         e = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
         ends, wt = e[:, :2], e[:, 2]
         for bad, fault in (
@@ -76,92 +99,120 @@ class Graph:
         ):
             if bad.any():
                 raise GraphError(f"edge {tuple(e[np.argmax(bad)].tolist())} has {fault}")
-        i, j = ends.astype(np.intp).T
-        w = np.zeros((n, n))
-        np.maximum.at(w, (i, j), wt + 0.0)  # + 0.0 stores a -0.0 weight as 0.0
-        np.maximum.at(w, (j, i), wt + 0.0)
-        return cls(w)
+        ends = np.sort(ends.astype(np.int64), axis=1)
+        order = np.argsort(ends[:, 0] * n + ends[:, 1], kind="stable")
+        ends, wt = ends[order], wt[order]
+        first = np.flatnonzero(np.r_[True, (ends[1:] != ends[:-1]).any(axis=1)][: wt.size])
+        wt = np.maximum.reduceat(wt, first) if wt.size else wt
+        keep = wt > 0  # a zero weight is no edge
+        ends = ends[first][keep]
+        return cls._of(n, ends[:, 0].copy(), ends[:, 1].copy(), wt[keep])
+
+    @classmethod
+    def _of(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> "Graph":
+        """A graph of already checked, sorted edge arrays."""
+        g = object.__new__(cls)
+        g.n, g._edges, g._weights, g._degrees = int(n), (i, j, w), None, None
+        return g
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense adjacency, built on first use."""
+        if self._weights is None:
+            i, j, w = self._edges
+            self._weights = np.zeros((self.n, self.n))
+            self._weights[i, j] = self._weights[j, i] = w
+        return self._weights
 
     def edge_arrays(self):
         """Edges as arrays (i, j, w) with i < j, in lexicographic order."""
-        i, j = np.nonzero(np.triu(self.weights, 1))
-        return i, j, self.weights[i, j]
+        return self._edges
 
     def edges(self):
         """Edges as (i, j, w) tuples with i < j, in lexicographic order."""
-        return list(zip(*(a.tolist() for a in self.edge_arrays())))
+        return list(zip(*(a.tolist() for a in self._edges)))
+
+    def directed(self):
+        """(rows, cols, w): every edge in both directions, row-major."""
+        i, j, w = self._edges
+        rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
+        order = np.argsort(rows * self.n + cols)
+        return rows[order], cols[order], np.tile(w, 2)[order]
 
     def degrees(self) -> np.ndarray:
-        """Weighted degree per node."""
-        return self.weights.sum(axis=1)
+        """Weighted degree per node, each row summed in column order (so
+        ``weights.sum(axis=1)``, summed pairwise, may differ in the last bit
+        on non-integer weights); computed once, and read-only."""
+        if self._degrees is None:
+            rows, _, w = self.directed()
+            # astype: bincount of no edges is an integer array
+            self._degrees = np.bincount(rows, w, self.n).astype(np.float64, copy=False)
+            self._degrees.flags.writeable = False
+        return self._degrees
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={len(self.edges())})"
+        return f"Graph(n={self.n}, edges={self._edges[2].size})"
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns). Small matrices only;
-    this is the independent route used to verify spectral properties.
-    """
-    a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise UsageError(f"jacobi_eigh needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    if n > 64:
-        raise UsageError("jacobi_eigh is restricted to n <= 64")
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    order = np.argsort(np.diag(a), kind="stable")
-    return np.diag(a)[order], v[:, order]
-
-
-@dataclass
-class SpectralDecomposition:
-    """Graph Fourier basis U and eigenvalues of the normalized Laplacian."""
-
-    eigvecs: np.ndarray  # columns are eigenvectors
-    eigvals: np.ndarray  # ascending
-
-    @classmethod
-    def of(cls, laplacian: np.ndarray) -> "SpectralDecomposition":
-        vals, vecs = jacobi_eigh(laplacian)
-        return cls(eigvecs=vecs, eigvals=vals)
+def _nonzero(w: np.ndarray):
+    """np.nonzero of a square matrix, row-major; a flat search on a boolean
+    mask is several times faster than np.nonzero on a float matrix."""
+    return np.divmod(np.flatnonzero(w != 0), w.shape[0])
 
 
 class GraphLaplacian:
-    """Normalized Laplacian with its largest eigenvalue, rescaled form
-    L~ = 2L/lambda_max - I, and the operator that applies L~ to signals."""
+    """Normalized Laplacian, held as its n and its off-diagonal entries (i,
+    j, value) with i < j (the diagonal is 1), with its largest eigenvalue and
+    the operator that applies L~ = 2L/lambda_max - I to signals. ``lap`` and
+    ``rescaled``, the dense L and L~, are built on request."""
 
-    __slots__ = ("n", "lap", "lambda_max", "rescaled", "ell", "_rescaled_tensor")
+    __slots__ = ("n", "entries", "lambda_max", "ell", "_dense", "_rescaled_tensor")
 
-    def __init__(self, lap: np.ndarray, lambda_max: float):
-        self.n = lap.shape[0]
-        self.lap = lap
+    def __init__(self, n: int, entries: tuple, lambda_max: float | None = None):
+        self.n, self.entries = n, entries
+        i, j, off = entries
+        if lambda_max is None:
+            lambda_max = estimate_lambda_max(self.lap) if n <= _EIGVALSH_MAX_N else 2.0
         self.lambda_max = float(lambda_max)
-        self.rescaled = 2.0 * lap / self.lambda_max - np.eye(self.n)
-        self.ell = _ell_operator(self.rescaled)
-        self._rescaled_tensor = None
+        self._dense = self.ell = self._rescaled_tensor = None
+        diag = np.full(n, 2.0 / self.lambda_max - 1.0)
+        rows, cols = np.concatenate((i, j, np.arange(n))), np.concatenate((j, i, np.arange(n)))
+        vals = np.concatenate((np.tile(2.0 * off / self.lambda_max, 2), diag))
+        nz = vals != 0  # the nonzeros of the dense L~
+        rows, cols, vals = rows[nz], cols[nz], vals[nz]
+        counts = np.bincount(rows, minlength=n)
+        width = int(counts.max(initial=0))
+        if width * _ELL_WIDTH_RATIO >= n:  # too wide for gathers to beat a dense product
+            self._dense = self.rescaled
+            return
+        order = np.argsort(rows * n + cols)  # row-major, as np.nonzero lists them
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        # padding slots point at their own row with weight 0
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        idx = np.repeat(np.arange(n)[:, None], width, axis=1)
+        wts = np.zeros((n, width))
+        idx[rows, slot] = cols
+        wts[rows, slot] = vals
+        self.ell = idx, wts
+
+    @property
+    def lap(self) -> np.ndarray:
+        """The dense normalized Laplacian."""
+        i, j, off = self.entries
+        out = np.eye(self.n)
+        out[i, j] = out[j, i] = off
+        return out
+
+    @property
+    def rescaled(self) -> np.ndarray:
+        """The dense L~ = 2L/lambda_max - I."""
+        if self._dense is not None:
+            return self._dense
+        i, j, off = self.entries
+        out = np.zeros((self.n, self.n))
+        out[i, j] = out[j, i] = 2.0 * off / self.lambda_max
+        np.fill_diagonal(out, 2.0 / self.lambda_max - 1.0)
+        return out
 
     def rescaled_tensor(self) -> Tensor:
         """The rescaled Laplacian as a constant tensor, built on first use."""
@@ -171,8 +222,10 @@ class GraphLaplacian:
 
     def product(self, v: np.ndarray) -> np.ndarray:
         """L~ v along the node axis (second to last) of v, as a new array."""
-        if self.ell is None or v.size == 0:
-            return self.rescaled @ v
+        if v.size == 0:
+            return np.empty(v.shape)
+        if self.ell is None:
+            return self._dense @ v
         idx, wts = self.ell
         n, c = v.shape[-2:]
         rows = v.reshape(-1, n, c)
@@ -232,44 +285,18 @@ class GraphLaplacian:
         return b1
 
 
-def _ell_operator(m: np.ndarray):
-    """Padded-neighbour form (index, weight), each (n, width), of the nonzeros
-    of m, or None when the widest row is too wide for gathers to beat a dense
-    product. Padding slots point at their own row with weight 0."""
-    n = m.shape[0]
-    rows, cols = np.nonzero(m)
-    counts = np.bincount(rows, minlength=n)
-    width = int(counts.max(initial=0))
-    if width * _ELL_WIDTH_RATIO >= n:
-        return None
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.repeat(np.arange(n)[:, None], width, axis=1)
-    wts = np.zeros((n, width))
-    idx[rows, slot] = cols
-    wts[rows, slot] = m[rows, cols]
-    return idx, wts
-
-
 def normalized_laplacian(g: Graph, lambda_max: float | None = None) -> GraphLaplacian:
-    """L = I - D^{-1/2} W D^{-1/2}; zero-degree nodes yield identity rows.
-    The largest eigenvalue is computed exactly unless ``lambda_max`` gives it."""
+    """L = I - D^{-1/2} W D^{-1/2} from the edge arrays, each entry the value
+    the dense 0.5 (L + L^T) holds; zero-degree nodes yield identity rows.
+    The largest eigenvalue is computed unless ``lambda_max`` gives it."""
     deg = g.degrees()
     inv_sqrt = np.zeros_like(deg)
     pos = deg > 0
     inv_sqrt[pos] = 1.0 / np.sqrt(deg[pos])
-    lap = np.eye(g.n) - (inv_sqrt[:, None] * g.weights) * inv_sqrt[None, :]
-    lap = 0.5 * (lap + lap.T)  # kill rounding asymmetry
-    return GraphLaplacian(lap, estimate_lambda_max(lap) if lambda_max is None else lambda_max)
-
-
-def estimate_lambda_max(lap: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric Laplacian by a dense eigensolve;
-    2.0 (the normalized spectral bound) for an empty graph."""
-    if np.abs(lap - lap.T).max(initial=0.0) > 1e-9:
-        raise GraphError("lambda_max estimation requires a symmetric matrix")
-    if lap.shape[0] == 0:
-        return 2.0
-    return float(np.linalg.eigvalsh(lap)[-1])
+    i, j, w = g.edge_arrays()
+    si, sj = inv_sqrt[i], inv_sqrt[j]
+    off = 0.5 * ((0.0 - si * w * sj) + (0.0 - sj * w * si))
+    return GraphLaplacian(g.n, (i, j, off), lambda_max)
 
 
 class ChebKernel:
@@ -345,37 +372,3 @@ def cheb_filter(kernel: ChebKernel, lap: GraphLaplacian):
 def cheb_conv(kernel: ChebKernel, lap: GraphLaplacian, x: Tensor) -> Tensor:
     """K-localized graph convolution: sum_k T_k(L~) x theta_k^T."""
     return cheb_filter(kernel, lap)(x)
-
-
-def spectral_conv_oracle(
-    kernel: ChebKernel,
-    decomp: SpectralDecomposition,
-    lambda_max: float,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Exact spectral-domain filter U g(Lambda) U^T x; test oracle only.
-
-    Evaluates the Chebyshev polynomial entrywise on the rescaled eigenvalues,
-    which must agree with the signal-space recursion.
-    """
-    u = decomp.eigvecs
-    n = u.shape[0]
-    if n > 64:
-        raise UsageError("spectral_conv_oracle is restricted to n <= 64")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != n:
-        raise DimensionError("signal node extent does not match the decomposition")
-    lam = 2.0 * decomp.eigvals / lambda_max - 1.0
-    k_order = kernel.order
-    cheb_vals = np.empty((k_order, n))
-    cheb_vals[0] = 1.0
-    if k_order > 1:
-        cheb_vals[1] = lam
-    for k in range(2, k_order):
-        cheb_vals[k] = 2.0 * lam * cheb_vals[k - 1] - cheb_vals[k - 2]
-    theta = kernel.theta.data  # (K, C_out, C_in)
-    # filter response per eigenvalue: (n, C_out, C_in)
-    response = np.einsum("koi,kn->noi", theta, cheb_vals)
-    xi = u.T @ x  # spectral coefficients (n, C_in)
-    yi = np.einsum("noi,ni->no", response, xi)
-    return u @ yi

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PartitionError, UsageError
+from .errors import GraphError, PartitionError, UsageError
 from .graph import Graph
 from .tensor import member_table
 
@@ -44,11 +44,19 @@ class Matching:
         return {v for p in self.pairs for v in p}
 
     def weight(self, g: Graph) -> float:
+        """Summed weight of the pairs, in pair order; each must be an edge of ``g``."""
+        i, j, w = g.edge_arrays()
+        keys = i * g.n + j
+        pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
+        want = pairs[:, 0] * g.n + pairs[:, 1]
+        at = np.searchsorted(keys, want)
+        found = (at < keys.size) & (pairs[:, 0] >= 0) & (pairs[:, 1] < g.n)  # i < j
+        found[found] = keys[at[found]] == want[found]
+        if not found.all():
+            raise PartitionError(f"matching uses absent edge {self.pairs[np.argmin(found)]}")
         total = 0.0
-        for i, j in self.pairs:
-            if g.weights[i, j] <= 0:
-                raise PartitionError(f"matching uses absent edge ({i},{j})")
-            total += g.weights[i, j]
+        for x in w[at].tolist():
+            total += x
         return total
 
     def is_maximal(self, g: Graph) -> bool:
@@ -67,8 +75,7 @@ def _grow_paths(g: Graph):
     the heaviest incident neighbor (ties to the lower id), and removes the
     departed vertex so no vertex is revisited.
     """
-    w = g.weights
-    rows, cols = np.nonzero(w > 0)
+    rows, cols, w = g.directed()
     ptr = np.searchsorted(rows, np.arange(g.n + 1))
     removed = np.zeros(g.n, dtype=bool)
     paths = []
@@ -78,12 +85,14 @@ def _grow_paths(g: Graph):
         path = []
         v = start
         while True:
-            nbrs = cols[ptr[v] : ptr[v + 1]]
-            nbrs = nbrs[~removed[nbrs]]
+            nbrs, wts = cols[ptr[v] : ptr[v + 1]], w[ptr[v] : ptr[v + 1]]
+            free = ~removed[nbrs]
+            nbrs, wts = nbrs[free], wts[free]
             if nbrs.size == 0:
                 break
-            best = nbrs[np.argmax(w[v, nbrs])]  # argmax keeps the lowest id on ties
-            path.append((int(v), int(best), float(w[v, best])))
+            k = np.argmax(wts)  # argmax keeps the lowest id on ties
+            best = nbrs[k]
+            path.append((int(v), int(best), float(wts[k])))
             removed[v] = True
             v = best
         if path:
@@ -169,13 +178,14 @@ def contract(g: Graph, parent: np.ndarray) -> Graph:
     i, j, wt = g.edge_arrays()
     a, b = parent[i], parent[j]
     cross = a != b
-    a, b, wt = a[cross], b[cross], wt[cross]
-    # both orientations interleaved, so every cell sums its edges in edge order
-    rows, cols = np.stack((a, b), axis=1).ravel(), np.stack((b, a), axis=1).ravel()
     n_super = int(parent.max(initial=-1)) + 1
-    w = np.zeros((n_super, n_super))
-    np.add.at(w, (rows, cols), np.repeat(wt, 2))
-    return Graph(w)
+    keys, cell = np.unique((np.minimum(a, b) * n_super + np.maximum(a, b))[cross],
+                           return_inverse=True)
+    w = np.zeros(keys.size)
+    np.add.at(w, cell, wt[cross])  # every supernode pair sums its edges in edge order
+    if not np.all(np.isfinite(w)):
+        raise GraphError("contracted weights overflow")
+    return Graph._of(n_super, keys // n_super, keys % n_super, w)
 
 
 @dataclass

@@ -573,10 +573,23 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -
         p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
-    """Scale all gradients down so their joint L2 norm is at most max_norm."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads))
-    if max_norm <= 0 or total <= max_norm:
+def clip_global_norm(grads: list[np.ndarray], max_norm: float, names=None) -> list[np.ndarray]:
+    """Scale all gradients down so their joint L2 norm is at most max_norm;
+    0 turns clipping off. A gradient holding NaN or inf raises NumericError
+    naming it (``names[k]``, else its index); a sum of squares that overflows
+    is taken again over the gradients divided by their largest magnitude."""
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        squares = sum(float((g * g).sum()) for g in grads)
+    if not np.isfinite(squares):
+        for k, g in enumerate(grads):
+            if not np.all(np.isfinite(g)):
+                what = names[k] if names else f"parameter {k}"
+                raise NumericError(f"gradient of {what} holds NaN or inf")
+        scale = max(float(np.abs(g).max(initial=0.0)) for g in grads)
+        squares = sum(float(((g / scale) ** 2).sum()) for g in grads)
+    total = np.sqrt(squares)  # the norm divided by scale
+    if max_norm <= 0 or total <= max_norm / scale:
         return grads
-    factor = max_norm / total
+    factor = max_norm / scale / total
     return [g * factor for g in grads]

@@ -43,6 +43,8 @@ class RunConfig:
         for name in ("lr", "clip_norm", "ss_tau", "interval_minutes"):
             if not np.isfinite(getattr(self, name)):
                 raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.clip_norm < 0:
+            raise UsageError(f"clip_norm must be >= 0 (0 turns clipping off), got {self.clip_norm}")
         if self.interval_minutes <= 0:
             raise UsageError(f"interval_minutes must be > 0, got {self.interval_minutes}")
         if self.epochs < 0 or self.batch_size < 1:
@@ -154,6 +156,7 @@ def train_model(rc: RunConfig, ds: TimeSeriesDataset):
     val_in, val_tg = make_windows(normalized, wc, "val")
 
     params = model.trainable_params()
+    names = [name for name, t in model.params.entries if t.requires_grad]
     state = AdamState.for_params(params, rc.lr)
     rng = np.random.default_rng(rc.seed)
     history: list[EpochLog] = []
@@ -173,7 +176,7 @@ def train_model(rc: RunConfig, ds: TimeSeriesDataset):
             T.reset_tape()
             out = loss(model.forward(xb, targets=yb, eps=eps, rng=rng), yb)
             T.backward(out)
-            grads = clip_global_norm([p.grad_array() for p in params], rc.clip_norm)
+            grads = clip_global_norm([p.grad_array() for p in params], rc.clip_norm, names)
             adam_step(params, grads, state)
             for p in params:
                 p.zero_grad()
