@@ -13,11 +13,18 @@ from __future__ import annotations
 
 import os
 
+from . import thread_cap
+from .errors import DataError, StunetError, UsageError
+
 
 def _configure_threads() -> None:
-    """Honor STUNET_THREADS before any numerical library spins up a pool."""
-    count = os.environ.get("STUNET_THREADS")
-    if count:
+    """Honor STUNET_THREADS before any numerical library spins up a pool; a bad
+    value is left for main() to report."""
+    try:
+        count = thread_cap()
+    except UsageError:
+        return
+    if count is not None:
         for var in (
             "OMP_NUM_THREADS",
             "OPENBLAS_NUM_THREADS",
@@ -25,7 +32,7 @@ def _configure_threads() -> None:
             "NUMEXPR_NUM_THREADS",
             "VECLIB_MAXIMUM_THREADS",
         ):
-            os.environ.setdefault(var, count)
+            os.environ.setdefault(var, str(count))
 
 
 _configure_threads()
@@ -45,7 +52,6 @@ from .data import (
     synth_diffusion,
     write_manifest,
 )
-from .errors import DataError, StunetError, UsageError
 from .model import (
     STUNetConfig, load_checkpoint, parse_field, read_checkpoint_config, save_checkpoint, variant,
 )
@@ -307,6 +313,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        thread_cap()
         return args.fn(args)
     except (StunetError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -260,11 +260,12 @@ class STUNet:
             pool_mode=cfg.pool_mode,
             pool_levels=cfg.p,
         )
-        x = enc_outs[-1]
+        # each output is dropped once its skip has used it: under no_grad that frees it
+        x = enc_outs.pop()
         for k in reversed(range(len(self.up_layers))):  # none in the plain stack
             if k < cfg.p:
                 x = unpool(x, self.pm, self.unpools[k], from_level=k + 1, to_level=k)
-            x = T.concat_channels(x, enc_outs[k])  # encoder channels last
+            x = T.concat_channels(x, enc_outs.pop())  # encoder channels last
             x = T.matmul(x, self.up_fuse[k])
             x = dilated_layer_forward(self.up_layers[k], self._lap_at_stage(k), x, 1)
         conv = cheb_filter(self.readout_k, self.laps[0])  # one kernel fold per forward

@@ -5,13 +5,16 @@ gradient clipping, scheduled sampling, and best-on-validation checkpointing.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
+from . import thread_cap
 from .data import Normalizer, TimeSeriesDataset, WindowConfig, make_windows
-from .errors import UsageError
+from .errors import DimensionError, UsageError
 from .model import STUNet, STUNetConfig, build, loss
 from .recurrent import SS_TAU_DEFAULT, scheduled_sampling_prob
 from .tensor import AdamState, Tensor, adam_step, clip_global_norm
@@ -97,29 +100,92 @@ def _to_time_major(windows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(windows, (1, 0, 2, 3)))
 
 
-def predict_windows(model: STUNet, inputs: np.ndarray, batch_size: int = 50) -> np.ndarray:
-    """Forward normalized windows (W, J, N, D) -> (W, H, N, D), no recording."""
+# fewest node rows (windows x nodes) a shard is given: below it, thread start-up
+# and the per-op Python work, which holds the GIL, outweigh the overlap
+MIN_SHARD_ROWS = 256
+# BLAS computes the rows of a product in blocks of 4, and the rows of a last,
+# partial block round differently; shards of whole blocks keep every row's bits
+_ROW_BLOCK = 4
+
+
+def _blas_threads() -> int:
+    """Threads per BLAS call as OpenBLAS reads them: OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS; 0 when neither is a count >= 1 (BLAS then takes every CPU)."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdecimal() and int(value) >= 1:
+            return int(value)
+    return 0
+
+
+def _window_grain(nodes: int) -> int:
+    """Fewest windows whose node rows fill whole BLAS row blocks."""
+    return _ROW_BLOCK // math.gcd(nodes, _ROW_BLOCK)
+
+
+def shard_count(windows: int, nodes: int) -> int:
+    """Threads that forecast one batch of windows: the CPUs this process may
+    run on, capped by STUNET_THREADS, over the BLAS threads each one brings.
+    Each shard holds at least MIN_SHARD_ROWS node rows and whole row blocks;
+    a batch whose node rows end in a partial block is not split."""
+    cap = thread_cap()  # read first: a bad value is an error whatever the batch
+    blas = _blas_threads()
+    grain = _window_grain(nodes)
+    if not blas or windows % grain:
+        return 1
+    budget = len(os.sched_getaffinity(0))
+    if cap is not None:
+        budget = min(budget, cap)
+    return max(1, min(budget // blas, windows // grain, windows * nodes // MIN_SHARD_ROWS))
+
+
+def _forecast(model: STUNet, windows: np.ndarray) -> np.ndarray:
+    return model.forward(Tensor(_to_time_major(windows))).data
+
+
+def _batch_forecasts(model: STUNet, inputs: np.ndarray, batch_size: int) -> list:
+    """Time-major forecasts (H, B, N, D) of each batch of windows, without
+    recording. A batch's windows are split into shard_count contiguous shards,
+    cut on whole BLAS row blocks, whose forwards run on threads (NumPy releases
+    the GIL in its large kernels) and are joined in window order, with the
+    same bits as one forward of the batch."""
+    if np.ndim(inputs) != 4:
+        raise DimensionError(f"windows must be a (W, J, N, D) array, got shape {np.shape(inputs)}")
+    if inputs.shape[0] == 0:
+        raise UsageError("no windows to forecast")
     _check_batch_size(batch_size)
-    chunks = []
+    out = []
     with T.no_grad():
         for lo in range(0, inputs.shape[0], batch_size):
-            xb = _to_time_major(inputs[lo : lo + batch_size])
-            pred = model.forward(Tensor(xb))
-            chunks.append(np.transpose(pred.data, (1, 0, 2, 3)))
-    return np.concatenate(chunks, axis=0)
+            batch = inputs[lo : lo + batch_size]
+            shards = shard_count(batch.shape[0], batch.shape[2])
+            if shards == 1:
+                out.append(_forecast(model, batch))
+                continue
+            from concurrent.futures import ThreadPoolExecutor
+
+            grain = _window_grain(batch.shape[2])
+            cuts = [grain * (batch.shape[0] // grain * k // shards) for k in range(shards + 1)]
+            with ThreadPoolExecutor(shards) as pool:  # joins every shard, also on error
+                futures = [pool.submit(_forecast, model, batch[a:b])
+                           for a, b in zip(cuts, cuts[1:])]
+            out.append(np.concatenate([f.result() for f in futures], axis=1))
+    return out
+
+
+def predict_windows(model: STUNet, inputs: np.ndarray, batch_size: int = 50) -> np.ndarray:
+    """Forward normalized windows (W, J, N, D) -> (W, H, N, D), no recording."""
+    preds = _batch_forecasts(model, inputs, batch_size)
+    return np.concatenate([np.transpose(p, (1, 0, 2, 3)) for p in preds], axis=0)
 
 
 def dataset_loss(model: STUNet, inputs: np.ndarray, targets: np.ndarray,
                  batch_size: int = 50) -> float:
     """Mean forward loss over normalized windows, without recording."""
-    _check_batch_size(batch_size)
     total = 0.0
-    with T.no_grad():
-        for lo in range(0, inputs.shape[0], batch_size):
-            xb = _to_time_major(inputs[lo : lo + batch_size])
-            yb = _to_time_major(targets[lo : lo + batch_size])
-            val = loss(model.forward(Tensor(xb)), Tensor(yb)).item()
-            total += val * xb.shape[1]
+    for i, pred in enumerate(_batch_forecasts(model, inputs, batch_size)):
+        yb = _to_time_major(targets[i * batch_size : (i + 1) * batch_size])
+        total += loss(Tensor(pred), Tensor(yb)).item() * pred.shape[1]
     return total / inputs.shape[0]
 
 
