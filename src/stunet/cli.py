@@ -155,7 +155,8 @@ def cmd_eval(args) -> int:
     rc, extras = run_config_from_mapping(_mapping_from_args(args))
     ckpt = _require(rc.ckpt_path, "checkpoint path (--ckpt or ckpt_path=)")
     # the run keys, and the horizons against the stored h, fail before any data is read
-    replace(rc, model=read_checkpoint_config(ckpt)).validate()
+    rc = replace(rc, model=read_checkpoint_config(ckpt))
+    rc.validate()
     ds = _load_dataset(rc, extras)
     model = load_checkpoint(ckpt, ds.graph)
     report = evaluate_model(model, ds, rc.horizons, batch_size=rc.batch_size)
@@ -184,7 +185,7 @@ def cmd_predict(args) -> int:
     from .training import predict_windows  # a call-time lookup, so a tracer can wrap it
 
     pred = predict_windows(model, ((window - mean) / std)[None])[0] * std + mean
-    out_path = args.out_dir or "forecast.csv"
+    out_path = rc.out_dir or "forecast.csv"
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     save_series(out_path, pred)
     print(f"forecast ({pred.shape[0]} steps x {g.n} nodes) written to {out_path}")

@@ -1,22 +1,22 @@
 """Weighted graphs, normalized Laplacians, and Chebyshev graph convolution.
 
-A graph is stored as its edge arrays (i, j, w) with i < j, sorted, w > 0;
-the dense adjacency is built only on request. ``Graph.__init__`` checks a
-dense matrix, ``Graph.from_edges`` an (m, 3) edge array or list. Degrees,
-the normalized Laplacian and its operator come from the edge arrays in
-O(|E|); degrees add each row's weights in column order, so they equal a
-dense row sum exactly for integer weights and to the last bit or so
-otherwise. The convolution filters a node-signal matrix with
-a K-localized polynomial of the rescaled Laplacian, evaluated by the
-three-term recursion applied directly to the signal as one fused op. Each
-Laplacian fixes its product operator when it is built, by row width:
-padded-neighbour (ELL) index and weight arrays when the widest row is narrow
-against the node count, the dense rescaled matrix otherwise. lambda_max is a
-dense symmetric eigensolve up to _EIGVALSH_MAX_N nodes; above that it is 2.0,
-the bound on the spectrum of a normalized Laplacian (exact when a component
-is bipartite, as on grids), so no N x N matrix is ever formed there. An
-exact spectral form from a full eigendecomposition (cyclic Jacobi) is
-provided for verification on small graphs only.
+A graph is stored only as its edge arrays (i, j, w), i < j, sorted, w > 0;
+a dense adjacency is a new matrix built from them on request.
+``Graph.__init__`` checks a dense matrix and keeps its upper-triangle edges,
+``Graph.from_edges`` an (m, 3) edge array or list. Degrees, the normalized
+Laplacian and its operator come from the edge arrays in O(|E|); degrees add
+each row's weights in column order, so they equal a dense row sum exactly for
+integer weights and to the last bit or so otherwise. The convolution filters
+a node-signal matrix with a K-localized polynomial of the rescaled Laplacian,
+evaluated by the three-term recursion applied directly to the signal as one
+fused op. Each Laplacian fixes its product operator when it is built, by row
+width: padded-neighbour (ELL) index and weight arrays when the widest row is
+narrow against the node count, the dense rescaled matrix otherwise.
+lambda_max is a dense symmetric eigensolve up to _EIGVALSH_MAX_N nodes; above
+that it is 2.0, the bound on the spectrum of a normalized Laplacian (exact
+when a component is bipartite, as on grids), so no N x N matrix is ever
+formed there. An exact spectral form from a full eigendecomposition (cyclic
+Jacobi) is provided for verification on small graphs only.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ _EIGVALSH_MAX_N = 2000
 
 class Graph:
     """Undirected weighted graph on nodes 0..n-1 as edge arrays (i, j, w),
-    i < j, lexicographic, w > 0. ``weights`` is the dense adjacency, built on
-    first use; a graph made from a dense matrix keeps it. A dense asymmetry up
-    to _SYM_TOL is averaged away, a larger one is an error; a symmetric matrix
-    is kept as given."""
+    i < j, lexicographic, w > 0, and nothing else: ``weights`` builds a new
+    dense adjacency from the edges on each call, so a -0.0 non-edge of the
+    matrix a graph was made from reads +0.0. A dense asymmetry up to _SYM_TOL
+    is averaged away, a larger one is an error."""
 
-    __slots__ = ("n", "_edges", "_weights", "_degrees")
+    __slots__ = ("n", "_edges", "_degrees")
 
     def __init__(self, weights: np.ndarray):
         w = np.asarray(weights, dtype=np.float64)
@@ -80,8 +80,7 @@ class Graph:
         if np.any(rows == cols):
             raise GraphError("adjacency diagonal must be zero")
         up = rows < cols
-        self.n, self._edges, self._weights = w.shape[0], (rows[up], cols[up], vals[up]), w
-        self._degrees = None
+        self.n, self._edges, self._degrees = w.shape[0], (rows[up], cols[up], vals[up]), None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -112,17 +111,16 @@ class Graph:
     def _of(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> "Graph":
         """A graph of already checked, sorted edge arrays."""
         g = object.__new__(cls)
-        g.n, g._edges, g._weights, g._degrees = int(n), (i, j, w), None, None
+        g.n, g._edges, g._degrees = int(n), (i, j, w), None
         return g
 
     @property
     def weights(self) -> np.ndarray:
-        """The dense adjacency, built on first use."""
-        if self._weights is None:
-            i, j, w = self._edges
-            self._weights = np.zeros((self.n, self.n))
-            self._weights[i, j] = self._weights[j, i] = w
-        return self._weights
+        """The dense adjacency, a new matrix built from the edges on each call."""
+        i, j, w = self._edges
+        out = np.zeros((self.n, self.n))
+        out[i, j] = out[j, i] = w
+        return out
 
     def edge_arrays(self):
         """Edges as arrays (i, j, w) with i < j, in lexicographic order."""

@@ -20,7 +20,7 @@ import io
 import math
 import os
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -152,10 +152,12 @@ class STUNetParams:
     buffer is a tensor that requires no gradient."""
 
     entries: list  # (name, Tensor) in registration order
+    names: set = field(default_factory=set)
 
     def register(self, name: str, t: Tensor) -> Tensor:
-        if any(n == name for n, _ in self.entries):
+        if name in self.names:
             raise ModelError(f"duplicate parameter name {name!r}")
+        self.names.add(name)
         self.entries.append((name, t))
         return t
 

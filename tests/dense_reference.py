@@ -2,7 +2,9 @@
 that the edge-array construction in ``stunet`` must equal bit for bit: an
 N x N adjacency filled by ``np.maximum.at``, degrees as its row sums, the
 normalized Laplacian, its rescaled form and padded-neighbour operator from
-dense matrices, and matching contraction by ``np.add.at`` on a dense matrix."""
+dense matrices, and matching contraction by ``np.add.at`` on a dense matrix.
+The synthetic diffusion, one dense matrix product a step, is matched only to
+the last bits: the edge sums add each row in another order."""
 
 import numpy as np
 
@@ -61,3 +63,30 @@ def contract(w, parent):
     out = np.zeros((n_super, n_super))
     np.add.at(out, (rows, cols), np.repeat(wt, 2))
     return out
+
+
+def diffusion_operator(g, mode):
+    """The dense N x N diffusion matrix A of ``synth_diffusion`` on graph g:
+    D^-1 W with identity rows on isolated nodes ('row'), or I - (D - W)/d_max
+    ('symmetric'); D holds ``g.degrees()``, as the dense construction did."""
+    w, deg = g.weights, g.degrees()
+    if mode == "row":
+        a = np.where(deg[:, None] > 0, w / np.where(deg == 0, 1.0, deg)[:, None], 0.0)
+        a[deg == 0] = np.eye(g.n)[deg == 0]
+        return a
+    d_max = deg.max(initial=0.0)
+    return np.eye(g.n) - (np.diag(deg) - w) / d_max if d_max > 0 else np.eye(g.n)
+
+
+def diffusion_series(g, t, alpha, noise_sigma, seed, mode):
+    """The (t, N, 1) series of ``synth_diffusion``, one dense product a step."""
+    a = diffusion_operator(g, mode)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((g.n, 1))
+    frames = [x]
+    for _ in range(t - 1):
+        x = alpha * (a @ x) + (1.0 - alpha) * x
+        if noise_sigma > 0:
+            x = x + noise_sigma * rng.standard_normal(x.shape)
+        frames.append(x)
+    return np.stack(frames)

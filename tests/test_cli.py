@@ -236,6 +236,56 @@ def test_predict_matches_eval_pipeline_bitwise(tmp_path):
     assert np.array_equal(forecast, pred[0])
 
 
+def saved_model(tmp_path, adj, name="model.ckpt", **config):
+    from stunet.model import build, save_checkpoint
+
+    ckpt = os.path.join(str(tmp_path), name)
+    cfg = STUNetConfig(**{"k": 2, "p": 1, "hidden_sizes": (4, 4), "j": 6, "h": 2, **config})
+    save_checkpoint(build(cfg, load_adjacency(adj)), ckpt)
+    return ckpt
+
+
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_predict_writes_to_the_out_dir_of_config_and_set(tmp_path, monkeypatch, source):
+    from stunet.data import save_series
+
+    data = synth_dir(tmp_path)
+    adj = os.path.join(data, "adjacency.csv")
+    window = os.path.join(str(tmp_path), "window.csv")
+    save_series(window, load_series(os.path.join(data, "series.csv"), 8, 1)[:6])
+    wanted = os.path.join(str(tmp_path), "out", "wanted.csv")
+    if source == "set":
+        flags = ["--set", f"out_dir={wanted}"]
+    else:
+        (tmp_path / "run.cfg").write_text(f"out_dir={wanted}\n")
+        flags = ["--config", str(tmp_path / "run.cfg")]
+    monkeypatch.chdir(tmp_path)
+    rv = cli.main(["predict", "--adj", adj, "--series", window,
+                   "--ckpt", saved_model(tmp_path, adj), *flags])
+    assert rv == 0
+    assert load_series(wanted, 8, 1).shape == (2, 8, 1)
+    assert not os.path.exists(os.path.join(str(tmp_path), "forecast.csv"))
+
+
+def test_eval_hashes_the_model_config_of_its_checkpoint(tmp_path):
+    from dataclasses import replace
+
+    data = synth_dir(tmp_path)
+    adj = os.path.join(data, "adjacency.csv")
+    hashes = []
+    for hidden in ((4, 4), (6, 6)):
+        name = "h" + "_".join(map(str, hidden))
+        ckpt = saved_model(tmp_path, adj, name + ".ckpt", hidden_sizes=hidden)
+        out = os.path.join(str(tmp_path), name)
+        assert cli.main(["eval", "--adj", adj, "--series", os.path.join(data, "series.csv"),
+                         "--ckpt", ckpt, "--out", out]) == 0
+        first = open(os.path.join(out, "metrics.txt")).readline()
+        want = replace(RunConfig(), model=load_checkpoint(ckpt, load_adjacency(adj)).config)
+        assert first == f"# config_hash: {want.config_hash()}\n"
+        hashes.append(first)
+    assert hashes[0] != hashes[1]
+
+
 def test_predict_rejects_wrong_window_length(tmp_path, capsys):
     data = synth_dir(tmp_path)
     run = train_run(tmp_path, data, "run")

@@ -1,10 +1,12 @@
 """Datasets, loaders, windows, normalization, and the synthetic generator."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import dense_reference as ref
 from conftest import path_graph
 from stunet.data import (
     Normalizer,
@@ -21,6 +23,7 @@ from stunet.data import (
     write_manifest,
 )
 from stunet.errors import DataError, UsageError
+from stunet.graph import Graph
 
 
 def write(tmp_path, name, text):
@@ -257,6 +260,49 @@ def test_synth_diffusion_symmetric_mode_conserves_mean():
     ds = synth_diffusion(g, t=30, alpha=0.5, noise_sigma=0.0, seed=5, mode="symmetric")
     means = ds.series[:, :, 0].mean(axis=1)
     assert np.abs(means - means[0]).max() < 1e-10
+
+
+DIFFUSION_GRAPHS = {
+    "grid4x8": knn_grid_graph(4, 8),
+    "grid8x8": knn_grid_graph(8, 8),
+    "grid24x24": knn_grid_graph(24, 24),
+    # node 4 is isolated, and the weights are not dyadic
+    "isolated": Graph.from_edges(6, [(0, 1, 0.3), (1, 2, 0.7), (2, 3, 1.9), (0, 3, 0.1),
+                                     (3, 5, 2.3)]),
+}
+
+
+@pytest.mark.parametrize("mode", ["row", "symmetric"])
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+@pytest.mark.parametrize("name", list(DIFFUSION_GRAPHS))
+def test_synth_diffusion_equals_the_dense_operator_to_the_last_bits(name, noise_sigma, mode):
+    # the edge sums add each row in another order than a dense product does,
+    # so the series may differ from it in the last bits only
+    g = DIFFUSION_GRAPHS[name]
+    for seed in range(3):
+        got = synth_diffusion(g, 500, 0.6, noise_sigma, seed, mode).series
+        want = ref.diffusion_series(g, 500, 0.6, noise_sigma, seed, mode)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def test_synth_diffusion_isolated_node_keeps_its_value():
+    g = DIFFUSION_GRAPHS["isolated"]
+    for mode in ("row", "symmetric"):
+        x = synth_diffusion(g, 20, 0.6, 0.0, 2, mode).series[:, 4, 0]
+        assert np.all(x == x[0])
+
+
+def test_synth_diffusion_builds_no_n_by_n_array():
+    g = knn_grid_graph(64, 64)  # one dense 4096 x 4096 matrix is 134 MB
+    for mode in ("row", "symmetric"):
+        tracemalloc.start()
+        try:
+            synth_diffusion(g, 10, 0.6, 0.05, 0, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, (mode, peak)
 
 
 def test_data_errors_carry_file_and_line(tmp_path):

@@ -75,11 +75,24 @@ def test_graph_symmetry_policy():
     w = np.array([[0.0, 1.0], [1.0 + 4e-9, 0.0]])
     assert Graph(w).weights[0, 1] == 0.5 * (1.0 + (1.0 + 4e-9))  # averaged
     sym = np.array([[0.0, 2.0], [2.0, 0.0]])
-    assert Graph(sym).weights is sym  # stored as given
+    g = Graph(sym)
+    sym[0, 1] = 5.0  # the graph keeps its own edges, not the caller's matrix
+    assert g.weights[0, 1] == 2.0
     with pytest.raises(GraphError, match="asymmetric by 2.000e-08"):
         Graph(np.array([[0.0, 1.0], [1.0 + 2e-8, 0.0]]))
     with pytest.raises(GraphError, match="non-finite"):
         Graph(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("build", ["dense", "edges"])
+def test_graph_owns_its_edges(build):
+    w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.5], [0.0, 2.5, 0.0]])
+    g = Graph(w) if build == "dense" else Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.5)])
+    w_before, edges_before = g.weights, [a.copy() for a in g.edge_arrays()]
+    w[0, 1] = w[1, 0] = 5.0  # the caller edits the matrix it passed in
+    g.weights[1, 2] = 7.0  # a caller writes into a returned matrix
+    assert np.array_equal(g.weights, w_before)
+    assert all(np.array_equal(a, b) for a, b in zip(g.edge_arrays(), edges_before))
 
 
 def test_graph_overflowing_gap_is_an_asymmetry():

@@ -79,7 +79,7 @@ def reference_load_dense(path):
     if w.size and w.min() < 0:
         raise DataError(f"{path}: negative weight in adjacency")
     np.fill_diagonal(w, 0.0)
-    return w
+    return w + 0.0  # a -0.0 non-edge reads +0.0, as a graph's edge-built weights do
 
 
 def outcome(load, *args):

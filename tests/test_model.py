@@ -135,6 +135,16 @@ def test_buffers_excluded_from_training():
     assert len(trainable) == len(names) - 2
 
 
+def test_a_duplicate_parameter_name_is_rejected_by_name():
+    model = build(tiny_config(), tiny_graph())
+    before = list(model.params.entries)
+    with pytest.raises(ModelError, match="duplicate parameter name 'readout.bias'"):
+        model.params.register("readout.bias", Tensor(np.zeros(1)))
+    assert model.params.entries == before
+    extra = model.params.register("extra", Tensor(np.zeros(1)))
+    assert model.params.entries[-1] == ("extra", extra)
+
+
 def test_scheduled_sampling_affects_forward():
     model = build(tiny_config(), tiny_graph())
     rng = np.random.default_rng(3)
