@@ -47,6 +47,14 @@ _GATHER_ELEMS = 1 << 16
 _EIGVALSH_MAX_N = 2000
 
 
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only: a graph's edges never change, so what is
+    derived from them (the cached degrees) stays true."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class Graph:
     """Undirected weighted graph on nodes 0..n-1 as edge arrays (i, j, w),
     i < j, lexicographic, w > 0, and nothing else: ``weights`` builds a new
@@ -80,7 +88,7 @@ class Graph:
         if np.any(rows == cols):
             raise GraphError("adjacency diagonal must be zero")
         up = rows < cols
-        self.n, self._edges, self._degrees = w.shape[0], (rows[up], cols[up], vals[up]), None
+        self.n, self._edges, self._degrees = w.shape[0], _frozen(rows[up], cols[up], vals[up]), None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -111,7 +119,7 @@ class Graph:
     def _of(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> "Graph":
         """A graph of already checked, sorted edge arrays."""
         g = object.__new__(cls)
-        g.n, g._edges, g._degrees = int(n), (i, j, w), None
+        g.n, g._edges, g._degrees = int(n), _frozen(i, j, w), None
         return g
 
     @property
@@ -123,7 +131,7 @@ class Graph:
         return out
 
     def edge_arrays(self):
-        """Edges as arrays (i, j, w) with i < j, in lexicographic order."""
+        """Edges as read-only arrays (i, j, w) with i < j, in lexicographic order."""
         return self._edges
 
     def edges(self):

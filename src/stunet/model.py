@@ -241,6 +241,7 @@ class STUNet:
         targets: Tensor | None = None,
         eps: float = 0.0,
         rng: np.random.Generator | None = None,
+        teacher: tuple | None = None,
     ) -> Tensor:
         cfg = self.config
         if inputs.data.ndim < 3 or inputs.data.shape[0] != cfg.j:
@@ -282,6 +283,7 @@ class STUNet:
             eps=eps,
             targets=targets,
             rng=rng,
+            teacher=teacher,
         )
 
     def trainable_params(self) -> list:

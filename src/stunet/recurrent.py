@@ -50,6 +50,17 @@ def scheduled_sampling_prob(iteration: int, tau: float = SS_TAU_DEFAULT) -> floa
         return 0.0
 
 
+def teacher_steps(eps: float, horizon: int, rng: np.random.Generator | None) -> tuple:
+    """Which decoder steps after the first take the previous target as input
+    instead of the previous prediction: each with probability eps, one
+    ``rng.random()`` per step in step order; eps=0 draws nothing."""
+    if eps <= 0:
+        return (False,) * (horizon - 1)
+    if rng is None:
+        raise UsageError("scheduled sampling requires a random generator")
+    return tuple(rng.random() < eps for _ in range(horizon - 1))
+
+
 @dataclass
 class GCGRUWeights:
     """Parameters of one cell: three input kernels (K x D_h x D_x), three
@@ -333,20 +344,25 @@ def decode(
     eps: float = 0.0,
     targets: Tensor | None = None,
     rng: np.random.Generator | None = None,
+    teacher: tuple | None = None,
 ) -> Tensor:
     """Roll the decoder cell for `horizon` steps.
 
     The first input is the go symbol; afterwards each step consumes the
     previous prediction, replaced by the previous ground-truth target with
     probability eps (scheduled sampling; eps=0 draws nothing and is fully
-    deterministic). `readout` maps a hidden state to an output step.
+    deterministic). ``teacher``, when given, holds those horizon - 1 choices,
+    drawn beforehand by ``teacher_steps``, in place of eps and rng.
+    `readout` maps a hidden state to an output step.
     """
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
-    if eps > 0 and targets is None:
+    if (eps > 0 or any(teacher or ())) and targets is None:
         raise UsageError("scheduled sampling requires targets")
-    if eps > 0 and rng is None:
-        raise UsageError("scheduled sampling requires a random generator")
+    if teacher is None:
+        teacher = teacher_steps(eps, horizon, rng)
+    if len(teacher) != horizon - 1:
+        raise UsageError(f"teacher choices: {len(teacher)} for {horizon - 1} decoder steps")
     h = initial.h
     cell = FoldedCell(w)
     x = go_symbol
@@ -356,7 +372,7 @@ def decode(
         y = readout(h)
         preds.append(y)
         if t + 1 < horizon:
-            if eps > 0 and rng.random() < eps:
+            if teacher[t]:
                 x = T.select_step(targets, t)
             else:
                 x = y

@@ -1,8 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-A single module-level tape records every differentiable operation in creation
-order. ``backward`` walks the tape in reverse, accumulating gradients into the
-``grad`` buffer of leaf tensors (parameters). The gradient of an op output is
+Each thread records its differentiable operations on its own tape, in creation
+order, so threads may run recorded forwards through the same parameters at
+once. ``backward`` walks the calling thread's tape in reverse, accumulating
+gradients into the ``grad`` buffer of leaf tensors (parameters); ``grads``
+returns them instead and writes no ``grad``. The gradient of an op output is
 freed as soon as its pullback has run, so op outputs keep ``grad`` as None.
 A pullback may give a parent's gradient as an ``(index, part)`` pair, nonzero
 only at ``parent[index]``; a block of a long sequence then costs its own size.
@@ -13,6 +15,7 @@ entry points are ``scale`` (scalar factor) and the explicit ``add_bias``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -107,16 +110,26 @@ class Tape:
         return len(self.nodes)
 
 
-_TAPE = Tape()
+class _ThreadState(threading.local):
+    """The calling thread's tape, and the leaf gradients ``grads`` collects
+    (None while ``backward`` writes them into ``grad``)."""
+
+    def __init__(self):
+        self.tape = Tape()
+        self.sink: dict | None = None
+
+
+_STATE = _ThreadState()
 
 
 def tape() -> Tape:
-    return _TAPE
+    """The calling thread's tape."""
+    return _STATE.tape
 
 
 def reset_tape() -> None:
-    """Drop all recorded operations, freeing saved activations."""
-    _TAPE.nodes.clear()
+    """Drop the operations the calling thread recorded, freeing saved activations."""
+    _STATE.tape.nodes.clear()
 
 
 class no_grad:
@@ -150,23 +163,26 @@ def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
     out.tape_id = None
     out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     if out.requires_grad:
-        out.tape_id = len(_TAPE.nodes)
-        _TAPE.nodes.append(_Node(out, tuple(parents), pullback))
+        nodes = _STATE.tape.nodes
+        out.tape_id = len(nodes)
+        nodes.append(_Node(out, tuple(parents), pullback))
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-accumulate d(loss)/d(tensor) for every tensor feeding the loss.
+    """Reverse-accumulate d(loss)/d(tensor) for every tensor feeding the loss,
+    which the calling thread's tape must hold.
 
     Leaf tensors (no tape_id) accumulate into ``grad`` across calls; op
     outputs keep no gradient.
     """
     if loss.data.size != 1:
         raise UsageError("backward requires a scalar loss")
-    nodes = _TAPE.nodes
+    nodes = _STATE.tape.nodes
+    sink = _STATE.sink
     tid = loss.tape_id
     if tid is None or tid >= len(nodes) or nodes[tid].out is not loss:
-        raise UsageError("loss is not recorded on the active tape")
+        raise UsageError("loss is not recorded on this thread's tape")
     buffers: dict[int, np.ndarray] = {tid: np.ones_like(loss.data)}
     # buffers allocated here, which partial gradients may update in place; any
     # other buffer may be shared with a pullback's other outputs, and a leaf's
@@ -181,7 +197,10 @@ def backward(loss: Tensor) -> None:
             if pg is None or not parent.requires_grad:
                 continue
             pid = parent.tape_id
-            acc = parent.grad if pid is None else buffers.get(pid)
+            if pid is not None:
+                acc = buffers.get(pid)
+            else:
+                acc = parent.grad if sink is None else sink.get(id(parent))
             if type(pg) is tuple:
                 index, part = pg
                 if acc is None:
@@ -195,10 +214,25 @@ def backward(loss: Tensor) -> None:
             else:
                 acc = acc + pg
                 owned.add(pid)
-            if pid is None:
+            if pid is not None:
+                buffers[pid] = acc
+            elif sink is None:
                 parent.grad = acc
             else:
-                buffers[pid] = acc
+                sink[id(parent)] = acc
+
+
+def grads(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
+    """d(loss)/d(p) for each of ``params``, zeros where the loss does not
+    depend on p, with the bits ``backward`` gives a leaf whose ``grad`` was
+    None. Writes no ``grad``, so threads may take the gradients of their own
+    losses through the same parameters at once."""
+    _STATE.sink = sink = {}
+    try:
+        backward(loss)  # looked up by name, so a wrapper around it sees every call
+    finally:
+        _STATE.sink = None
+    return [sink[id(p)] if id(p) in sink else np.zeros_like(p.data) for p in params]
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:

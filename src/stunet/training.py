@@ -16,7 +16,7 @@ from . import thread_cap
 from .data import Normalizer, TimeSeriesDataset, WindowConfig, make_windows
 from .errors import DimensionError, UsageError
 from .model import STUNet, STUNetConfig, build, loss
-from .recurrent import SS_TAU_DEFAULT, scheduled_sampling_prob
+from .recurrent import SS_TAU_DEFAULT, scheduled_sampling_prob, teacher_steps
 from .tensor import AdamState, Tensor, adam_step, clip_global_norm
 
 
@@ -103,6 +103,10 @@ def _to_time_major(windows: np.ndarray) -> np.ndarray:
 # fewest node rows (windows x nodes) a shard is given: below it, thread start-up
 # and the per-op Python work, which holds the GIL, outweigh the overlap
 MIN_SHARD_ROWS = 256
+# contiguous micro-batches a training batch is cut into; their size-weighted
+# gradients are summed in this order, so a step's bits depend on this count
+# alone, never on how many threads run them
+MICRO_BATCHES = 2
 # BLAS computes the rows of a product in blocks of 4, and the rows of a last,
 # partial block round differently; shards of whole blocks keep every row's bits
 _ROW_BLOCK = 4
@@ -123,20 +127,29 @@ def _window_grain(nodes: int) -> int:
     return _ROW_BLOCK // math.gcd(nodes, _ROW_BLOCK)
 
 
-def shard_count(windows: int, nodes: int) -> int:
-    """Threads that forecast one batch of windows: the CPUs this process may
-    run on, capped by STUNET_THREADS, over the BLAS threads each one brings.
-    Each shard holds at least MIN_SHARD_ROWS node rows and whole row blocks;
-    a batch whose node rows end in a partial block is not split."""
-    cap = thread_cap()  # read first: a bad value is an error whatever the batch
+def thread_budget() -> int:
+    """Threads that may compute at once: the CPUs this process may run on,
+    capped by STUNET_THREADS, over the BLAS threads each one brings; 1 when
+    no BLAS thread count is set, since BLAS then takes every CPU."""
+    cap = thread_cap()  # read first: a bad value is an error whatever the work
     blas = _blas_threads()
-    grain = _window_grain(nodes)
-    if not blas or windows % grain:
+    if not blas:
         return 1
     budget = len(os.sched_getaffinity(0))
     if cap is not None:
         budget = min(budget, cap)
-    return max(1, min(budget // blas, windows // grain, windows * nodes // MIN_SHARD_ROWS))
+    return max(1, budget // blas)
+
+
+def shard_count(windows: int, nodes: int) -> int:
+    """Threads that forecast one batch of windows, within thread_budget.
+    Each shard holds at least MIN_SHARD_ROWS node rows and whole row blocks;
+    a batch whose node rows end in a partial block is not split."""
+    budget = thread_budget()
+    grain = _window_grain(nodes)
+    if windows % grain:
+        return 1
+    return max(1, min(budget, windows // grain, windows * nodes // MIN_SHARD_ROWS))
 
 
 def _forecast(model: STUNet, windows: np.ndarray) -> np.ndarray:
@@ -159,18 +172,27 @@ def _batch_forecasts(model: STUNet, inputs: np.ndarray, batch_size: int) -> list
         for lo in range(0, inputs.shape[0], batch_size):
             batch = inputs[lo : lo + batch_size]
             shards = shard_count(batch.shape[0], batch.shape[2])
-            if shards == 1:
-                out.append(_forecast(model, batch))
-                continue
-            from concurrent.futures import ThreadPoolExecutor
-
             grain = _window_grain(batch.shape[2])
-            cuts = [grain * (batch.shape[0] // grain * k // shards) for k in range(shards + 1)]
-            with ThreadPoolExecutor(shards) as pool:  # joins every shard, also on error
-                futures = [pool.submit(_forecast, model, batch[a:b])
-                           for a, b in zip(cuts, cuts[1:])]
-            out.append(np.concatenate([f.result() for f in futures], axis=1))
+            cuts = [grain * (batch.shape[0] // grain * k // shards) for k in range(shards)]
+            cuts.append(batch.shape[0])
+            parts = _in_threads(shards, _forecast,
+                                [(model, batch[a:b]) for a, b in zip(cuts, cuts[1:])])
+            out.append(parts[0] if shards == 1 else np.concatenate(parts, axis=1))
     return out
+
+
+def _in_threads(threads: int, fn, jobs: list) -> list:
+    """fn(*job) for each job, in job order. One thread runs the jobs in turn on
+    the caller's thread; more run them on that many new threads, which all
+    end before this returns, also when a job raises (the first job's error
+    in job order is raised)."""
+    if threads == 1:
+        return [fn(*job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
+    return [f.result() for f in futures]
 
 
 def predict_windows(model: STUNet, inputs: np.ndarray, batch_size: int = 50) -> np.ndarray:
@@ -192,6 +214,40 @@ def dataset_loss(model: STUNet, inputs: np.ndarray, targets: np.ndarray,
 def _check_batch_size(batch_size: int) -> None:
     if batch_size < 1:
         raise UsageError(f"batch size must be >= 1, got {batch_size}")
+
+
+def _micro_batch_grads(model: STUNet, params: list, xb: Tensor, yb: Tensor,
+                       teacher: tuple, weight: float) -> tuple:
+    """Loss and parameter gradients of one micro-batch, each times ``weight``,
+    recorded on the calling thread's tape, which is left empty."""
+    try:
+        out = loss(model.forward(xb, targets=yb, teacher=teacher), yb)
+        return weight * out.item(), [weight * g for g in T.grads(out, params)]
+    finally:
+        T.reset_tape()
+
+
+def batch_grads(model: STUNet, params: list, inputs: np.ndarray, targets: np.ndarray,
+                teacher: tuple) -> tuple:
+    """Loss and parameter gradients of one batch of windows, inputs (W, J, N, D)
+    and targets (W, H, N, D), whose decoders take the targets where ``teacher``
+    says. The batch is cut into MICRO_BATCHES contiguous micro-batches (ceil
+    sizes first), which run on up to thread_budget threads; their loss and
+    gradients, weighted by size, are summed in micro-batch order, so the bits
+    do not depend on the thread count. One micro-batch gives exactly the
+    loss and gradients of the whole batch."""
+    size = inputs.shape[0]
+    parts = min(MICRO_BATCHES, size)
+    cuts = [-(-size * k // parts) for k in range(parts + 1)]
+    jobs = [(model, params, Tensor(_to_time_major(inputs[a:b])),
+             Tensor(_to_time_major(targets[a:b])), teacher, (b - a) / size)
+            for a, b in zip(cuts, cuts[1:])]
+    results = _in_threads(min(parts, thread_budget()), _micro_batch_grads, jobs)
+    total, grads = results[0]
+    for part_loss, part_grads in results[1:]:
+        total += part_loss
+        grads = [g + pg for g, pg in zip(grads, part_grads)]
+    return total, grads
 
 
 def normalized_copy(ds: TimeSeriesDataset, norm: Normalizer) -> TimeSeriesDataset:
@@ -236,19 +292,12 @@ def train_model(rc: RunConfig, ds: TimeSeriesDataset):
         eps = 0.0
         for lo in range(0, order.size, rc.batch_size):
             idx = order[lo : lo + rc.batch_size]
-            xb = Tensor(_to_time_major(train_in[idx]))
-            yb = Tensor(_to_time_major(train_tg[idx]))
             eps = scheduled_sampling_prob(iteration, rc.ss_tau)
-            T.reset_tape()
-            out = loss(model.forward(xb, targets=yb, eps=eps, rng=rng), yb)
-            T.backward(out)
-            grads = clip_global_norm([p.grad_array() for p in params], rc.clip_norm, names)
-            adam_step(params, grads, state)
-            for p in params:
-                p.zero_grad()
-            running += out.item() * idx.size
+            teacher = teacher_steps(eps, cfg.h, rng)
+            batch_loss, grads = batch_grads(model, params, train_in[idx], train_tg[idx], teacher)
+            adam_step(params, clip_global_norm(grads, rc.clip_norm, names), state)
+            running += batch_loss * idx.size
             iteration += 1
-        T.reset_tape()
         train_loss = running / order.size
         val_loss = dataset_loss(model, val_in, val_tg, rc.batch_size)
         history.append(EpochLog(epoch, train_loss, val_loss, state.lr, eps))

@@ -95,6 +95,25 @@ def test_graph_owns_its_edges(build):
     assert all(np.array_equal(a, b) for a, b in zip(g.edge_arrays(), edges_before))
 
 
+@pytest.mark.parametrize("build", ["dense", "edges", "coarse"])
+def test_graph_edge_arrays_are_read_only(build):
+    from stunet.partition import multilevel_partition
+
+    w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.5], [0.0, 2.5, 0.0]])
+    if build == "coarse":  # built from checked arrays, as coarsening does
+        g = multilevel_partition(knn_grid_graph(2, 2), 1).graphs[1]
+    else:
+        g = Graph(w) if build == "dense" else Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.5)])
+    degrees = g.degrees().copy()
+    for a in g.edge_arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5
+    assert np.array_equal(g.degrees(), degrees)
+    # so every off-diagonal Laplacian entry stays in [-1, 0]
+    off = normalized_laplacian(g).lap[~np.eye(g.n, dtype=bool)]
+    assert np.all((-1.0 <= off) & (off <= 0.0))
+
+
 def test_graph_overflowing_gap_is_an_asymmetry():
     with np.errstate(over="raise"):
         with pytest.raises(GraphError, match="asymmetric by inf"):

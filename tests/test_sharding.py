@@ -1,6 +1,9 @@
 """Sharded no-grad forecasts: a batch's windows split across threads give the
 bits of one forward, the shard rule, errors raised in a shard, thread and
-module hygiene, and the forward's memory under no_grad."""
+module hygiene, and the forward's memory under no_grad. Micro-batch training:
+one micro-batch is the whole-batch step bit for bit, two sum to the batch
+gradient, the bytes do not depend on the thread count, and a micro-batch's
+error, threads and tape end with the step."""
 
 import os
 import subprocess
@@ -14,11 +17,15 @@ import pytest
 import stunet
 from stunet import tensor as T
 from stunet import training
-from stunet.data import knn_grid_graph
+from stunet.data import knn_grid_graph, synth_diffusion
 from stunet.errors import DimensionError, NumericError, UsageError
-from stunet.model import STUNetConfig, build
+from stunet.model import STUNet, STUNetConfig, build, loss, save_checkpoint
+from stunet.recurrent import teacher_steps
 from stunet.tensor import Tensor
-from stunet.training import dataset_loss, predict_windows, shard_count
+from stunet.training import (
+    RunConfig, batch_grads, dataset_loss, predict_windows, shard_count, train_model,
+    write_history,
+)
 
 SRC = os.path.dirname(os.path.dirname(stunet.__file__))
 
@@ -265,3 +272,150 @@ def test_more_shards_than_cpus_under_fast_thread_switches(cpus):
         assert predict_windows(model, inputs).tobytes() == one
     finally:
         sys.setswitchinterval(interval)
+
+
+# -- micro-batch training ----------------------------------------------------
+
+
+def recorded_forwards(monkeypatch, fail_size=None):
+    """Record (micro-batch size, thread, tape) of every recorded forward, which
+    raises NumericError, with its nodes on the tape, when its micro-batch
+    holds ``fail_size`` windows."""
+    calls = []
+    forward = STUNet.forward
+
+    def wrapper(self, inputs, *args, **kwargs):
+        out = forward(self, inputs, *args, **kwargs)
+        if T._GRAD_ENABLED:
+            size = inputs.data.shape[1]
+            calls.append((size, threading.get_ident(), T.tape()))
+            if size == fail_size:
+                raise NumericError(f"forward of {size} windows failed")
+        return out
+
+    monkeypatch.setattr(STUNet, "forward", wrapper)
+    return calls
+
+
+def whole_batch_step(model, inputs, targets, eps, rng):
+    """Loss and gradients of one recorded forward of the whole batch, with
+    scheduled sampling drawn inside the decoder, as training took them
+    before batches were cut into micro-batches."""
+    params = model.trainable_params()
+    yb = Tensor(np.ascontiguousarray(np.transpose(targets, (1, 0, 2, 3))))
+    xb = Tensor(np.ascontiguousarray(np.transpose(inputs, (1, 0, 2, 3))))
+    T.reset_tape()
+    out = loss(model.forward(xb, targets=yb, eps=eps, rng=rng), yb)
+    T.backward(out)
+    grads = [p.grad_array() for p in params]
+    for p in params:
+        p.zero_grad()
+    T.reset_tape()
+    return out.item(), grads
+
+
+@pytest.mark.parametrize("eps", (0.0, 0.5, 1.0))
+def test_one_micro_batch_is_the_whole_batch_step(cpus, monkeypatch, eps):
+    model = small_model(6, 6, layer_norm=True)
+    inputs, targets = windows_for(model, 7)
+    want_rng, got_rng = np.random.default_rng(3), np.random.default_rng(3)
+    want_loss, want = whole_batch_step(model, inputs, targets, eps, want_rng)
+    cpus(2)
+    monkeypatch.setattr(training, "MICRO_BATCHES", 1)
+    teacher = teacher_steps(eps, model.config.h, got_rng)
+    got_loss, got = batch_grads(model, model.trainable_params(), inputs, targets, teacher)
+    assert got_loss == want_loss
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_two_micro_batches_sum_to_the_batch_gradient(cpus, monkeypatch):
+    assert training.MICRO_BATCHES == 2
+    model = small_model(6, 6)
+    params = model.trainable_params()
+    inputs, targets = windows_for(model, 7)
+    # eps=1 takes every target, so both micro-batches must see the batch's choices
+    want_loss, want = whole_batch_step(model, inputs, targets, 1.0, np.random.default_rng(0))
+    teacher = (True, True)
+    calls = recorded_forwards(monkeypatch)
+    cpus(1)
+    one_thread = batch_grads(model, params, inputs, targets, teacher)
+    assert [(size, ident) for size, ident, _ in calls] == [(4, threading.get_ident()),
+                                                           (3, threading.get_ident())]
+    cpus(2)
+    calls.clear()
+    got_loss, got = batch_grads(model, params, inputs, targets, teacher)
+    assert sorted(size for size, _, _ in calls) == [3, 4]  # ceil(7/2) windows first
+    idents = {ident for _, ident, _ in calls}
+    assert len(idents) == 2 and threading.get_ident() not in idents
+    assert got_loss == one_thread[0]
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in one_thread[1]]
+    assert abs(got_loss - want_loss) <= 1e-14 * abs(want_loss)
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=1e-11, atol=1e-15)
+    assert all(len(tape) == 0 for _, _, tape in calls)
+
+
+def test_more_micro_batches_than_cpus_under_fast_thread_switches(cpus, monkeypatch):
+    # the micro-batches share the model, its parameters and the grad flag:
+    # switching threads every microsecond would show a shared write as changed bytes
+    monkeypatch.setattr(training, "MICRO_BATCHES", 5)
+    model = small_model(6, 6, layer_norm=True)
+    params = model.trainable_params()
+    inputs, targets = windows_for(model, 9)
+    teacher = (True, False)
+    cpus(1)
+    one = batch_grads(model, params, inputs, targets, teacher)
+    cpus(5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = batch_grads(model, params, inputs, targets, teacher)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many[0] == one[0]
+    assert [g.tobytes() for g in many[1]] == [g.tobytes() for g in one[1]]
+
+
+def tiny_training_run(tmp_path, label):
+    """Checkpoint and history bytes of two epochs on a 2x4 grid, 77 windows
+    in batches of 8 (the last of 5)."""
+    ds = synth_diffusion(knn_grid_graph(2, 4), t=120, alpha=0.6, noise_sigma=0.05, seed=3)
+    rc = RunConfig(model=STUNetConfig(k=2, p=1, s=2, hidden_sizes=(6, 6), j=6, h=2, seed=1),
+                   epochs=2, batch_size=8, seed=5)
+    model, history = train_model(rc, ds)
+    save_checkpoint(model, str(tmp_path / f"{label}.ckpt"))
+    write_history(str(tmp_path / f"{label}.txt"), history)
+    return (tmp_path / f"{label}.ckpt").read_bytes(), (tmp_path / f"{label}.txt").read_bytes()
+
+
+def test_training_bytes_do_not_depend_on_the_thread_count(cpus, monkeypatch, tmp_path):
+    calls = recorded_forwards(monkeypatch)
+    runs = {}
+    for count in (1, 2, 3):
+        cpus(count)
+        calls.clear()
+        runs[count] = tiny_training_run(tmp_path, str(count))
+        main = [ident == threading.get_ident() for _, ident, _ in calls]
+        assert all(main) if count == 1 else not any(main)
+        # 9 full batches and one of 5 an epoch, each as two micro-batches
+        assert sorted(size for size, _, _ in calls) == sorted([4] * 36 + [3, 2] * 2)
+    cpus(2)
+    monkeypatch.setenv("STUNET_THREADS", "1")
+    runs["STUNET_THREADS=1"] = tiny_training_run(tmp_path, "cap")
+    assert runs[2] == runs[1] and runs[3] == runs[1] and runs["STUNET_THREADS=1"] == runs[1]
+    assert all(len(tape) == 0 for _, _, tape in calls)
+
+
+def test_an_error_in_a_micro_batch_ends_the_step(cpus, monkeypatch, tmp_path):
+    cpus(2)
+    calls = recorded_forwards(monkeypatch, fail_size=4)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match="forward of 4 windows failed"):
+        tiny_training_run(tmp_path, "fails")
+    assert threading.active_count() == before
+    # the first step's micro-batches both started, on threads other than this
+    assert sorted(size for size, _, _ in calls) == [4, 4]
+    assert threading.get_ident() not in {ident for _, ident, _ in calls}
+    assert all(len(tape) == 0 for _, _, tape in calls)
+    assert len(T.tape()) == 0

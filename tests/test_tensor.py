@@ -1,5 +1,8 @@
 """Autodiff core: op values, pullbacks vs finite differences, Adam, clipping."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -470,3 +473,97 @@ def test_partial_gradients_accumulate_with_dense_ones():
         [x],
         rel_tol=1e-6,
     )
+
+
+def in_thread(fn):
+    """fn() run on a new thread: its result, or the exception it raised."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except Exception as exc:  # re-raised on the calling thread
+            out["error"] = exc
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def test_a_new_thread_starts_with_an_empty_tape():
+    x = leaf((3,), seed=1)
+    T._reduce_sum(T.tanh(x))
+    assert len(T.tape()) == 2
+    assert in_thread(lambda: len(T.tape())) == 0
+
+
+def test_recording_in_another_thread_leaves_this_tape_unchanged():
+    x = leaf((3,), seed=1)
+    y = T.tanh(x)
+    mine = T.tape()
+    before = list(mine.nodes)
+
+    def record():
+        loss = T._reduce_sum(T.tanh(x))
+        return len(T.tape()), loss.tape_id, T.tape() is mine
+
+    assert in_thread(record) == (2, 1, False)
+    assert len(T.tape()) == len(before)
+    assert all(a is b for a, b in zip(T.tape().nodes, before))
+    assert y.tape_id == 0
+
+
+@pytest.mark.parametrize("take", ("backward", "grads"))
+def test_a_loss_recorded_in_another_thread_is_a_usage_error(take):
+    x = leaf((3,), seed=1)
+    run = {"backward": T.backward, "grads": lambda loss: T.grads(loss, [x])}[take]
+    loss = in_thread(lambda: T._reduce_sum(T.tanh(T.tanh(x))))  # tape id 2 there
+    assert loss.tape_id == 2
+    with pytest.raises(UsageError, match="this thread's tape"):
+        run(loss)  # this tape is empty: the id lies past its end
+    T._reduce_sum(T.tanh(T.tanh(x)))  # this tape's node 2 is another tensor
+    with pytest.raises(UsageError, match="this thread's tape"):
+        run(loss)
+    assert x.grad is None
+
+
+def test_grads_returns_what_backward_accumulates_and_writes_no_grad():
+    x, w, unused = leaf((4, 3), seed=1), leaf((3, 2), seed=2), leaf((2,), seed=3)
+    loss = T._reduce_sum(T.tanh(T.add(T.matmul(x, w), T.matmul(x, w))))
+    got = T.grads(loss, [x, w, unused])
+    assert x.grad is None and w.grad is None and unused.grad is None
+    T.backward(loss)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, [x.grad, w.grad]))
+    assert np.array_equal(got[2], np.zeros(2))
+    assert x.grad is not got[0] and w.grad is not got[1]
+
+
+def test_threads_take_grads_through_shared_parameters_at_once():
+    w = leaf((6, 6), seed=4)
+    inputs = [np.random.default_rng(s).normal(size=(40, 6)) for s in range(4)]
+
+    def grad_of(xd):
+        T.reset_tape()
+        h = Tensor(xd)
+        for _ in range(20):
+            h = T.tanh(T.matmul(h, w))
+        return T.grads(T._reduce_sum(h), [w])[0]
+
+    alone = [grad_of(xd) for xd in inputs]
+    from concurrent.futures import ThreadPoolExecutor
+
+    # more threads than CPUs, switching every microsecond: a gradient written
+    # into shared state would show as changed bytes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            together = list(pool.map(grad_of, inputs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, together))
+    assert w.grad is None
