@@ -12,33 +12,31 @@ the field it names, as it types checkpoint and manifest text.
 from __future__ import annotations
 
 import os
+import sys
 
 from . import thread_cap
 from .errors import DataError, StunetError, UsageError
 
+# the thread counts BLAS libraries read when NumPy loads
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
 
 def _configure_threads() -> None:
-    """Honor STUNET_THREADS before any numerical library spins up a pool; a bad
-    value is left for main() to report."""
-    try:
-        count = thread_cap()
-    except UsageError:
+    """Give each BLAS call one thread before NumPy loads, so the package's own
+    threads (thread_budget, up to STUNET_THREADS) share the CPUs instead of
+    BLAS taking them all. A user's BLAS count, any one of BLAS_THREAD_VARS,
+    is kept as it is; once NumPy has loaded, BLAS has its threads already and
+    nothing is set, so thread_budget reads what BLAS really runs."""
+    if "numpy" in sys.modules or any(var in os.environ for var in BLAS_THREAD_VARS):
         return
-    if count is not None:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-            "VECLIB_MAXIMUM_THREADS",
-        ):
-            os.environ.setdefault(var, str(count))
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
 
 
 _configure_threads()
 
 import argparse
-import sys
 from dataclasses import fields, replace
 
 from .data import (

@@ -13,8 +13,7 @@ future depends on its neighbors: structure a graph-aware forecaster can use.
 from __future__ import annotations
 
 import logging
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -31,7 +31,7 @@ from .partition import PartitionMap, multilevel_partition
 from .recurrent import (
     GCGRUState, GCGRUWeights, decode, dilated_layer_forward, encode, init_gcgru_weights,
 )
-from .sampling import UNPOOL_MODES, UnpoolStrategy, init_unpool, unpool
+from .sampling import UNPOOL_MODES, init_unpool, unpool
 from .tensor import Tensor, member_table
 
 VARIANTS = ("GCGRU", "T-UNet", "S-UNet", "ST-UNet")
@@ -239,8 +239,6 @@ class STUNet:
         self,
         inputs: Tensor,
         targets: Tensor | None = None,
-        eps: float = 0.0,
-        rng: np.random.Generator | None = None,
         teacher: tuple | None = None,
     ) -> Tensor:
         cfg = self.config
@@ -280,9 +278,7 @@ class STUNet:
             cfg.h,
             go,
             lambda h: T.add_bias(conv(h), self.readout_b),
-            eps=eps,
             targets=targets,
-            rng=rng,
             teacher=teacher,
         )
 

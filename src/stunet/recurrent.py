@@ -341,26 +341,23 @@ def decode(
     horizon: int,
     go_symbol: Tensor,
     readout,
-    eps: float = 0.0,
     targets: Tensor | None = None,
-    rng: np.random.Generator | None = None,
     teacher: tuple | None = None,
 ) -> Tensor:
     """Roll the decoder cell for `horizon` steps.
 
     The first input is the go symbol; afterwards each step consumes the
-    previous prediction, replaced by the previous ground-truth target with
-    probability eps (scheduled sampling; eps=0 draws nothing and is fully
-    deterministic). ``teacher``, when given, holds those horizon - 1 choices,
-    drawn beforehand by ``teacher_steps``, in place of eps and rng.
-    `readout` maps a hidden state to an output step.
+    previous prediction, or the previous ground-truth target where
+    ``teacher`` says: horizon - 1 choices drawn by ``teacher_steps``
+    (scheduled sampling). None takes no target. `readout` maps a hidden
+    state to an output step.
     """
     if horizon < 1:
         raise UsageError("horizon must be >= 1")
-    if (eps > 0 or any(teacher or ())) and targets is None:
+    if any(teacher or ()) and targets is None:
         raise UsageError("scheduled sampling requires targets")
     if teacher is None:
-        teacher = teacher_steps(eps, horizon, rng)
+        teacher = (False,) * (horizon - 1)
     if len(teacher) != horizon - 1:
         raise UsageError(f"teacher choices: {len(teacher)} for {horizon - 1} decoder steps")
     h = initial.h

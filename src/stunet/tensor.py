@@ -2,12 +2,12 @@
 
 Each thread records its differentiable operations on its own tape, in creation
 order, so threads may run recorded forwards through the same parameters at
-once. ``backward`` walks the calling thread's tape in reverse, accumulating
-gradients into the ``grad`` buffer of leaf tensors (parameters); ``grads``
-returns them instead and writes no ``grad``. The gradient of an op output is
-freed as soon as its pullback has run, so op outputs keep ``grad`` as None.
-A pullback may give a parent's gradient as an ``(index, part)`` pair, nonzero
-only at ``parent[index]``; a block of a long sequence then costs its own size.
+once. ``backward`` walks the calling thread's tape in reverse and returns the
+gradients of the leaf tensors (parameters) the loss reaches; no tensor keeps a
+gradient, and the gradient of an op output is freed as soon as its pullback
+has run. A pullback may give a parent's gradient as an ``(index, part)`` pair,
+nonzero only at ``parent[index]``; a block of a long sequence then costs its
+own size.
 
 Binary elementwise operations require exactly equal shapes; the only broadcast
 entry points are ``scale`` (scalar factor) and the explicit ``add_bias``.
@@ -29,7 +29,7 @@ _GRAD_ENABLED = True
 class Tensor:
     """Row-major float64 array, optionally tracked on the active tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "tape_id")
+    __slots__ = ("data", "requires_grad", "tape_id")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -37,7 +37,6 @@ class Tensor:
             raise NumericError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
         self.tape_id: int | None = None
 
     @property
@@ -52,15 +51,6 @@ class Tensor:
         if self.data.size != 1:
             raise UsageError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
-
-    def grad_array(self) -> np.ndarray:
-        """Gradient buffer, or zeros when this tensor was unused by the loss."""
-        if self.grad is None:
-            return np.zeros_like(self.data)
-        return self.grad
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
@@ -111,12 +101,10 @@ class Tape:
 
 
 class _ThreadState(threading.local):
-    """The calling thread's tape, and the leaf gradients ``grads`` collects
-    (None while ``backward`` writes them into ``grad``)."""
+    """The calling thread's tape."""
 
     def __init__(self):
         self.tape = Tape()
-        self.sink: dict | None = None
 
 
 _STATE = _ThreadState()
@@ -159,7 +147,6 @@ def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
         raise NumericError("forward operation produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     out.tape_id = None
     out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     if out.requires_grad:
@@ -169,70 +156,56 @@ def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-accumulate d(loss)/d(tensor) for every tensor feeding the loss,
-    which the calling thread's tape must hold.
-
-    Leaf tensors (no tape_id) accumulate into ``grad`` across calls; op
-    outputs keep no gradient.
-    """
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """d(loss)/d(leaf) for every leaf tensor (no tape_id) the loss reaches, by
+    a reverse walk of the calling thread's tape, which must hold the loss.
+    Writes nothing, so threads may take the gradients of their own losses
+    through the same parameters at once."""
     if loss.data.size != 1:
         raise UsageError("backward requires a scalar loss")
     nodes = _STATE.tape.nodes
-    sink = _STATE.sink
     tid = loss.tape_id
     if tid is None or tid >= len(nodes) or nodes[tid].out is not loss:
         raise UsageError("loss is not recorded on this thread's tape")
-    buffers: dict[int, np.ndarray] = {tid: np.ones_like(loss.data)}
-    # buffers allocated here, which partial gradients may update in place; any
-    # other buffer may be shared with a pullback's other outputs, and a leaf's
-    # gradient array is never updated in place
-    owned: set[int] = set()
+    # op outputs leave as their pullbacks run, so the leaves' gradients remain
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    # tensors whose gradient array was allocated here, so partial gradients
+    # may update it in place; any other array may be shared with a
+    # pullback's other outputs
+    owned: set[Tensor] = set()
     for idx in range(tid, -1, -1):
-        g = buffers.pop(idx, None)
+        node = nodes[idx]
+        g = grads.pop(node.out, None)
         if g is None:
             continue
-        node = nodes[idx]
         for parent, pg in zip(node.parents, node.pullback(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            pid = parent.tape_id
-            if pid is not None:
-                acc = buffers.get(pid)
-            else:
-                acc = parent.grad if sink is None else sink.get(id(parent))
+            acc = grads.get(parent)
             if type(pg) is tuple:
                 index, part = pg
                 if acc is None:
                     acc = np.zeros_like(parent.data)
-                elif pid is None or pid not in owned:
+                elif parent not in owned:
                     acc = acc.copy()
                 acc[index] += part
-                owned.add(pid)
-            elif acc is None:
-                acc = pg if pid is not None else pg.copy()
-            else:
+            elif acc is not None:
                 acc = acc + pg
-                owned.add(pid)
-            if pid is not None:
-                buffers[pid] = acc
-            elif sink is None:
-                parent.grad = acc
+            elif parent.tape_id is None:
+                acc = pg.copy()  # a leaf's gradient goes to the caller, unshared
             else:
-                sink[id(parent)] = acc
+                grads[parent] = pg
+                continue
+            owned.add(parent)
+            grads[parent] = acc
+    return grads
 
 
 def grads(loss: Tensor, params: list[Tensor]) -> list[np.ndarray]:
     """d(loss)/d(p) for each of ``params``, zeros where the loss does not
-    depend on p, with the bits ``backward`` gives a leaf whose ``grad`` was
-    None. Writes no ``grad``, so threads may take the gradients of their own
-    losses through the same parameters at once."""
-    _STATE.sink = sink = {}
-    try:
-        backward(loss)  # looked up by name, so a wrapper around it sees every call
-    finally:
-        _STATE.sink = None
-    return [sink[id(p)] if id(p) in sink else np.zeros_like(p.data) for p in params]
+    reach p."""
+    got = backward(loss)  # looked up by name, so a wrapper around it sees every call
+    return [got[p] if p in got else np.zeros_like(p.data) for p in params]
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:

@@ -1,5 +1,10 @@
 """Shared test helpers: finite-difference gradient checking and graph builders."""
 
+# the CLI's thread defaults, applied on import before NumPy loads: one thread
+# per BLAS call unless a BLAS count is set, so the package's own threads
+# (shards, micro-batches) run as they do for CLI users
+import stunet.cli  # noqa: F401
+
 import numpy as np
 
 from stunet import tensor as T
@@ -31,11 +36,7 @@ def check_gradients(build, params, rel_tol=1e-4, eps=1e-6, max_checks=6, seed=0)
     max(1, |fd|, |analytic|). Returns the worst error observed.
     """
     T.reset_tape()
-    out = build()
-    T.backward(out)
-    grads = [p.grad_array().copy() for p in params]
-    for p in params:
-        p.zero_grad()
+    grads = T.grads(build(), params)
     T.reset_tape()
     rng = np.random.default_rng(seed)
     worst = 0.0

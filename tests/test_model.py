@@ -23,7 +23,9 @@ from stunet.model import (
     save_checkpoint,
     variant,
 )
-from stunet.recurrent import GCGRUState, decode, dilated_layer_forward, init_gcgru_weights
+from stunet.recurrent import (
+    GCGRUState, decode, dilated_layer_forward, init_gcgru_weights, teacher_steps,
+)
 from stunet.tensor import Tensor
 
 
@@ -151,11 +153,12 @@ def test_scheduled_sampling_affects_forward():
     x = Tensor(rng.normal(size=(4, 6, 1)))
     targets = Tensor(rng.normal(size=(2, 6, 1)))
     free = model.forward(x)
-    forced = model.forward(x, targets=targets, eps=1.0, rng=np.random.default_rng(0))
+    teacher = teacher_steps(1.0, 2, np.random.default_rng(0))
+    forced = model.forward(x, targets=targets, teacher=teacher)
     assert np.array_equal(free.data[0], forced.data[0])
     assert not np.allclose(free.data[1], forced.data[1])
     with pytest.raises(UsageError):
-        model.forward(x, eps=0.5)
+        model.forward(x, teacher=(True,))
 
 
 def test_plain_stack_matches_direct_seq2seq():
@@ -333,11 +336,8 @@ def test_forward_drops_nothing_from_tape_between_calls():
     target = Tensor(np.random.default_rng(7).normal(size=(2, 6, 1)))
     T.reset_tape()
     out = loss(model.forward(x), target)
-    T.backward(out)
-    grads = [p.grad_array().copy() for p in model.trainable_params()]
+    grads = T.grads(out, model.trainable_params())
     assert any(np.abs(g).max() > 0 for g in grads)
-    for p in model.trainable_params():
-        p.zero_grad()
 
 
 def test_config_lines_keep_the_stored_format():

@@ -20,6 +20,7 @@ from stunet.recurrent import (
     gcgru_cell,
     init_gcgru_weights,
     scheduled_sampling_prob,
+    teacher_steps,
 )
 from stunet.tensor import Tensor
 
@@ -251,7 +252,7 @@ def test_decode_teacher_forcing_changes_later_steps():
     free = decode(w, lap, init, 3, go, readout)
     forced = decode(
         w, lap, init, 3, go, readout,
-        eps=1.0, targets=targets, rng=np.random.default_rng(0),
+        targets=targets, teacher=teacher_steps(1.0, 3, np.random.default_rng(0)),
     )
     # the first step sees the same inputs either way
     assert np.array_equal(free.data[0], forced.data[0])
@@ -261,9 +262,9 @@ def test_decode_teacher_forcing_changes_later_steps():
 def test_decode_sampling_requires_targets_and_rng():
     lap, w, readout, init, go, targets = decoder_fixture(17)
     with pytest.raises(UsageError):
-        decode(w, lap, init, 2, go, readout, eps=0.5)
+        decode(w, lap, init, 2, go, readout, teacher=(True,))
     with pytest.raises(UsageError):
-        decode(w, lap, init, 2, go, readout, eps=0.5, targets=targets)
+        teacher_steps(0.5, 2, None)
     with pytest.raises(UsageError):
         decode(w, lap, init, 0, go, readout)
 
@@ -309,10 +310,7 @@ def test_block_scan_matches_per_step_loop(operator, batch):
             for layer in (dilated_layer_forward, _per_step_layer):
                 T.reset_tape()
                 y = layer(w, lap, x, s)
-                T.backward(T._reduce_sum(T.tanh(y)))
-                runs.append((y.data, [p.grad_array() for p in leaves]))
-                for p in leaves:
-                    p.zero_grad()
+                runs.append((y.data, T.grads(T._reduce_sum(T.tanh(y)), leaves)))
             (y_scan, g_scan), (y_ref, g_ref) = runs
             assert np.array_equal(y_scan, y_ref), (s, j)
             for a, b in zip(g_scan, g_ref):
@@ -348,9 +346,9 @@ def test_zero_start_state_gets_no_gradient(monkeypatch):
     )
     lap = normalized_laplacian(path_graph(4))
     x = leaf((2, 4, 2), seed=15)
-    T.backward(T._reduce_sum(dilated_layer_forward(make_weights(16), lap, x, 2)))
+    got = T.backward(T._reduce_sum(dilated_layer_forward(make_weights(16), lap, x, 2)))
     assert len(calls) == 2
-    assert x.grad_array().shape == x.shape
+    assert got[x].shape == x.shape
 
 
 def _composite_step(w, mats, lap, x_t, h_prev):
@@ -396,11 +394,7 @@ def _randomize_biases(w, rng):
 def _outputs_and_grads(run, leaves):
     T.reset_tape()
     y = run()
-    T.backward(T._reduce_sum(T.tanh(y)))
-    grads = [p.grad_array() for p in leaves]
-    for p in leaves:
-        p.zero_grad()
-    return y.data, grads
+    return y.data, T.grads(T._reduce_sum(T.tanh(y)), leaves)
 
 
 @pytest.mark.parametrize("operator", ["dense", "ell"])

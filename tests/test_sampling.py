@@ -212,12 +212,9 @@ def _one_level_unpool(x, pm, level, strategy):
 
 def _lift_with_grads(lift, xd, pm, level, strategy, g):
     T.reset_tape()
-    for p in strategy.params():
-        p.zero_grad()
     x = Tensor(xd, requires_grad=True)
     y = lift(x, pm, level, strategy)
-    T.backward(T._reduce_sum(T.mul_const(y, g)))
-    return y.data, [x.grad] + [p.grad_array().copy() for p in strategy.params()]
+    return y.data, T.grads(T._reduce_sum(T.mul_const(y, g)), [x] + strategy.params())
 
 
 @pytest.mark.parametrize("mode", UNPOOL_MODES)

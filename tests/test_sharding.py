@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import stunet
+import stunet.cli
 from stunet import tensor as T
 from stunet import training
 from stunet.data import knn_grid_graph, synth_diffusion
@@ -171,6 +172,35 @@ def test_cli_rejects_a_bad_stunet_threads(tmp_path, value):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("numpy_first, user_env, blas, counts", (
+    # STUNET_THREADS caps the package's own threads and sets no BLAS count
+    (False, {"STUNET_THREADS": "2"}, 1, ["1"] * 5),
+    (False, {"OPENBLAS_NUM_THREADS": "2"}, 2, ["-", "2", "-", "-", "-"]),
+    (False, {"OMP_NUM_THREADS": "4"}, 4, ["4", "-", "-", "-", "-"]),
+    # NumPy loaded first: BLAS runs on every CPU already, so nothing is set
+    (True, {}, None, ["-"] * 5),
+), ids=("stunet_threads", "openblas", "omp", "numpy_first"))
+def test_cli_gives_blas_one_thread_unless_the_user_set_a_count(numpy_first, user_env, blas,
+                                                               counts):
+    blas_vars = stunet.cli.BLAS_THREAD_VARS
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars + ("STUNET_THREADS",)}
+    env.update(user_env, PYTHONPATH=SRC)
+    code = (
+        ("import numpy\n" if numpy_first else "")
+        + "import os, stunet.cli\n"
+        "from stunet.training import thread_budget\n"
+        f"print(thread_budget(), *(os.environ.get(v, '-') for v in {blas_vars!r}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    budget, *seen = done.stdout.split()
+    cpus = len(os.sched_getaffinity(0))
+    cap = int(user_env.get("STUNET_THREADS", cpus))
+    assert budget == str(1 if blas is None else max(1, min(cpus, cap) // blas))
+    assert seen == counts
+
+
 def test_an_error_in_one_shard_reaches_the_caller_after_every_shard(cpus, monkeypatch):
     model = small_model(6, 6)
     inputs, targets = windows_for(model, 7)
@@ -299,17 +329,15 @@ def recorded_forwards(monkeypatch, fail_size=None):
 
 def whole_batch_step(model, inputs, targets, eps, rng):
     """Loss and gradients of one recorded forward of the whole batch, with
-    scheduled sampling drawn inside the decoder, as training took them
+    scheduled sampling drawn from rng by teacher_steps, as training took them
     before batches were cut into micro-batches."""
     params = model.trainable_params()
     yb = Tensor(np.ascontiguousarray(np.transpose(targets, (1, 0, 2, 3))))
     xb = Tensor(np.ascontiguousarray(np.transpose(inputs, (1, 0, 2, 3))))
+    teacher = teacher_steps(eps, model.config.h, rng)
     T.reset_tape()
-    out = loss(model.forward(xb, targets=yb, eps=eps, rng=rng), yb)
-    T.backward(out)
-    grads = [p.grad_array() for p in params]
-    for p in params:
-        p.zero_grad()
+    out = loss(model.forward(xb, targets=yb, teacher=teacher), yb)
+    grads = T.grads(out, params)
     T.reset_tape()
     return out.item(), grads
 
