@@ -213,7 +213,7 @@ class FoldedCell:
         if ln:
             h, xhat, inv_std = T.layer_norm_array(h, w.ln_gain.data, w.ln_bias.data, out)
 
-        shape = xs.shape
+        shape, needs_dh = xs.shape, h_prev.requires_grad
 
         def pull(g):
             grads = T.layer_norm_pull(g, xhat, inv_std, w.ln_gain.data) if ln else (g,)
@@ -227,7 +227,7 @@ class FoldedCell:
             np.multiply(drh * hp, r * (1.0 - r), out=gx[..., d : 2 * d])
             dzr = gx[..., : 2 * d]
             dh_prev = None  # the zero state a layer starts from takes no gradient
-            if h_prev.requires_grad:
+            if needs_dh:
                 dh_prev = gz + drh * r + lap.basis_transpose(T.flat_matmul(dzr, uzr.T), k)
             return (
                 gx if rows is None else (rows, gx),

@@ -2,12 +2,20 @@
 
 Each thread records its differentiable operations on its own tape, in creation
 order, so threads may run recorded forwards through the same parameters at
-once. ``backward`` walks the calling thread's tape in reverse and returns the
-gradients of the leaf tensors (parameters) the loss reaches; no tensor keeps a
-gradient, and the gradient of an op output is freed as soon as its pullback
-has run. A pullback may give a parent's gradient as an ``(index, part)`` pair,
-nonzero only at ``parent[index]``; a block of a long sequence then costs its
-own size.
+once. The tape keeps only what the pullbacks read: a node holds the pullback,
+whose closure saves the arrays it needs, a handle for its output (tape id,
+shape and a weak reference) and one entry per parent (its handle, the leaf
+tensor, or a no-gradient marker). It never holds an op output, so an output
+that no pullback reads is freed as soon as the forward drops it.
+
+``backward`` consumes the calling thread's tape: it walks it in reverse,
+drops each node once its pullback has run, and returns the gradients of the
+leaf tensors (parameters) the loss reaches. No tensor keeps a gradient, and
+the gradient of an op output is freed as soon as its pullback has run. A
+pullback may give a parent's gradient as an ``(index, part)`` pair, nonzero
+only at ``parent[index]``; a block of a long sequence then costs its own size.
+A tensor recorded on another thread's tape, or on a tape since reset or
+consumed, is no longer on this tape: recording an op on it is a UsageError.
 
 Binary elementwise operations require exactly equal shapes; the only broadcast
 entry points are ``scale`` (scalar factor) and the explicit ``add_bias``.
@@ -16,6 +24,7 @@ entry points are ``scale`` (scalar factor) and the explicit ``add_bias``.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -29,7 +38,7 @@ _GRAD_ENABLED = True
 class Tensor:
     """Row-major float64 array, optionally tracked on the active tape."""
 
-    __slots__ = ("data", "requires_grad", "tape_id")
+    __slots__ = ("data", "requires_grad", "tape_id", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -83,10 +92,40 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
+class _Out:
+    """What a tape node keeps of its op output: the tape id, the shape, and a
+    weak reference that only tells whether a tensor is this output."""
+
+    __slots__ = ("tape_id", "shape", "ref")
+    requires_grad = True
+
+    def __init__(self, out: Tensor):
+        self.tape_id = out.tape_id
+        self.shape = out.data.shape
+        self.ref = weakref.ref(out)
+
+    @property
+    def data(self) -> np.ndarray:
+        """A stand-in with the output's shape and byte count, holding one zero."""
+        return np.broadcast_to(_ZERO, self.shape)
+
+
+class _NoGrad:
+    """Tape entry for a parent that takes no gradient."""
+
+    __slots__ = ()
+    requires_grad = False
+    tape_id = None
+
+
+_ZERO = np.zeros(())
+_NO_GRAD = _NoGrad()
+
+
 @dataclass
 class _Node:
-    out: Tensor
-    parents: tuple[Tensor, ...]
+    out: _Out
+    parents: tuple  # per parent: its _Out, the leaf Tensor, or _NO_GRAD
     pullback: object  # callable(grad_out) -> tuple of parent grads (or None)
 
 
@@ -116,7 +155,9 @@ def tape() -> Tape:
 
 
 def reset_tape() -> None:
-    """Drop the operations the calling thread recorded, freeing saved activations."""
+    """Drop the operations the calling thread recorded, freeing what their
+    pullbacks saved. The tensors they output are then off the tape: an op
+    recorded on one of them raises UsageError."""
     _STATE.tape.nodes.clear()
 
 
@@ -140,7 +181,9 @@ def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
 
     ``pullback`` maps the output gradient to one gradient (or None) per parent,
     each a full-shape array or an ``(index, part)`` pair for ``parent[index]``.
-    Other modules use this hook to define custom differentiable operations.
+    A recorded parent must be on the calling thread's tape (UsageError naming
+    the op otherwise). Other modules use this hook to define custom
+    differentiable operations.
     """
     data = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(data)):
@@ -151,30 +194,52 @@ def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
     out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     if out.requires_grad:
         nodes = _STATE.tape.nodes
+        kept = tuple(_tape_entry(p, nodes, pullback) for p in parents)
         out.tape_id = len(nodes)
-        nodes.append(_Node(out, tuple(parents), pullback))
+        nodes.append(_Node(_Out(out), kept, pullback))
     return out
+
+
+def _tape_entry(parent: Tensor, nodes: list, pullback):
+    """What a node keeps of a parent: the _Out of a recorded parent, which
+    must be on this tape, the leaf itself, or the no-gradient marker."""
+    if not parent.requires_grad:
+        return _NO_GRAD
+    tid = parent.tape_id
+    if tid is None:
+        return parent
+    if tid < len(nodes) and nodes[tid].out.ref() is parent:
+        return nodes[tid].out
+    op = getattr(pullback, "__qualname__", "op").split(".<locals>")[0]
+    raise UsageError(
+        f"{op}: an input was recorded on another thread's tape, or on a tape "
+        "since reset or consumed by backward"
+    )
 
 
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """d(loss)/d(leaf) for every leaf tensor (no tape_id) the loss reaches, by
     a reverse walk of the calling thread's tape, which must hold the loss.
-    Writes nothing, so threads may take the gradients of their own losses
-    through the same parameters at once."""
+    Consumes that tape, dropping each node once its pullback has run. Writes
+    nothing, so threads may take the gradients of their own losses through
+    the same parameters at once."""
     if loss.data.size != 1:
         raise UsageError("backward requires a scalar loss")
-    nodes = _STATE.tape.nodes
+    tape = _STATE.tape
+    nodes = tape.nodes
     tid = loss.tape_id
-    if tid is None or tid >= len(nodes) or nodes[tid].out is not loss:
+    if tid is None or tid >= len(nodes) or nodes[tid].out.ref() is not loss:
         raise UsageError("loss is not recorded on this thread's tape")
+    tape.nodes = []
+    del nodes[tid + 1 :]  # recorded after the loss, which does not reach them
     # op outputs leave as their pullbacks run, so the leaves' gradients remain
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    # tensors whose gradient array was allocated here, so partial gradients
+    grads: dict = {nodes[tid].out: np.ones_like(loss.data)}
+    # entries whose gradient array was allocated here, so partial gradients
     # may update it in place; any other array may be shared with a
     # pullback's other outputs
-    owned: set[Tensor] = set()
-    for idx in range(tid, -1, -1):
-        node = nodes[idx]
+    owned: set = set()
+    while nodes:
+        node = nodes.pop()
         g = grads.pop(node.out, None)
         if g is None:
             continue
@@ -185,7 +250,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             if type(pg) is tuple:
                 index, part = pg
                 if acc is None:
-                    acc = np.zeros_like(parent.data)
+                    acc = np.zeros(parent.shape)
                 elif parent not in owned:
                     acc = acc.copy()
                 acc[index] += part
@@ -313,7 +378,8 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
         out = x.data.reshape(shape)
     except ValueError:
         raise DimensionError(f"reshape: cannot read {x.data.shape} as {shape}") from None
-    return apply_op(out, (x,), lambda g: (g.reshape(x.data.shape),))
+    in_shape = x.data.shape
+    return apply_op(out, (x,), lambda g: (g.reshape(in_shape),))
 
 
 def select_step(x: Tensor, t: int | slice) -> Tensor:
@@ -331,7 +397,7 @@ def stack_steps(steps: list[Tensor]) -> Tensor:
     if not steps:
         raise UsageError("stack_steps needs at least one step")
     out = np.stack([s.data for s in steps], axis=0)
-    return apply_op(out, tuple(steps), lambda g: tuple(g[i] for i in range(len(steps))))
+    return apply_op(out, tuple(steps), lambda g: tuple(g))
 
 
 def concat_steps(blocks: list[Tensor], out: np.ndarray | None = None) -> Tensor:
@@ -355,10 +421,11 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
     if x.data.ndim < 2:
         raise DimensionError("gather_rows requires rank >= 2 input")
+    shape = x.data.shape
 
     def pull(g):
         used, group = np.unique(index, return_inverse=True)
-        z = np.zeros_like(x.data)
+        z = np.zeros(shape)
         z[..., used, :] = _fold_members(g, *member_table(group, index.size), np.add, 0.0)
         return (z,)
 
@@ -500,17 +567,14 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def _reduce_sum(x: Tensor) -> Tensor:
-    return apply_op(
-        np.asarray(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, x.data.shape),)
-    )
+    shape = x.data.shape
+    return apply_op(np.asarray(x.data.sum()), (x,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def _reduce_mean(x: Tensor) -> Tensor:
-    inv = 1.0 / x.data.size
+    shape, inv = x.data.shape, 1.0 / x.data.size
     return apply_op(
-        np.asarray(x.data.mean()),
-        (x,),
-        lambda g: (np.broadcast_to(g * inv, x.data.shape),),
+        np.asarray(x.data.mean()), (x,), lambda g: (np.broadcast_to(g * inv, shape),)
     )
 
 

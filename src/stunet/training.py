@@ -4,6 +4,7 @@ gradient clipping, scheduled sampling, and best-on-validation checkpointing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -107,6 +108,15 @@ MIN_SHARD_ROWS = 256
 # gradients are summed in this order, so a step's bits depend on this count
 # alone, never on how many threads run them
 MICRO_BATCHES = 2
+# glibc malloc settings for recorded training, applied once by train_model.
+# Backward frees a micro-batch's activations as it runs, and by default glibc
+# hands that memory back to the system (trimming the main heap, unmapping an
+# emptied thread heap), only to fault it in again on the next micro-batch.
+# With them, arrays under 32 MiB come from the heap, and every heap keeps up
+# to 256 MiB free at its top, so each micro-batch reuses the pages of the one
+# before. Setting either one also stops glibc from tuning its own thresholds.
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
+_HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TOP_PAD, 256 << 20))
 # BLAS computes the rows of a product in blocks of 4, and the rows of a last,
 # partial block round differently; shards of whole blocks keep every row's bits
 _ROW_BLOCK = 4
@@ -150,6 +160,21 @@ def shard_count(windows: int, nodes: int) -> int:
     if windows % grain:
         return 1
     return max(1, min(budget, windows // grain, windows * nodes // MIN_SHARD_ROWS))
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Apply _HEAP_SETTINGS through mallopt, on glibc only."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # not a glibc build
+        return
+    if libc and libc.startswith("glibc"):
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+        for param, value in _HEAP_SETTINGS:
+            mallopt(param, value)
 
 
 def _forecast(model: STUNet, windows: np.ndarray) -> np.ndarray:
@@ -267,6 +292,7 @@ def train_model(rc: RunConfig, ds: TimeSeriesDataset):
     self-contained. epochs=0 leaves the freshly initialized weights.
     """
     rc.validate()
+    _keep_freed_heap()
     cfg = rc.model
     model = build(cfg, ds.graph)
     norm = Normalizer().fit(ds.split_series("train"))

@@ -512,3 +512,54 @@ def test_damaged_graph_block_is_rejected(tmp_path):
         for graph in (g, other):
             with pytest.raises(CheckpointError, match=re.escape(bad) + ": .*" + message):
                 load_checkpoint(bad, graph)
+
+
+def test_a_recorded_forward_keeps_only_what_its_pullbacks_read(monkeypatch):
+    # outputs that no pullback reads die with the forward's locals, and
+    # backward consumes the tape, so traced memory returns to its start
+    import tracemalloc
+    import weakref
+
+    from stunet import model as model_module
+    from stunet import recurrent
+
+    cfg = tiny_config(k=3, hidden_sizes=(8, 8), pool_mode="max", unpool_mode="weighted_deconv",
+                      j=6, h=2)
+    net = build(cfg, knn_grid_graph(4, 8))
+    refs = {}
+
+    def keep(name, fn):
+        def wrapper(*args, **kw):
+            out = fn(*args, **kw)
+            refs.setdefault(name, weakref.ref(out.data))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(model_module, "unpool", keep("unpool", model_module.unpool))
+    monkeypatch.setattr(recurrent, "st_pool_spatial", keep("pool", recurrent.st_pool_spatial))
+    monkeypatch.setattr(recurrent.FoldedCell, "input_side",
+                        keep("input side", recurrent.FoldedCell.input_side))
+    matmul = T.matmul
+    monkeypatch.setattr(T, "matmul", lambda a, b: (keep("fuse", matmul) if b is net.up_fuse[0]
+                                                   else matmul)(a, b))
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(6, 8, 32, 1)))
+    y = Tensor(rng.normal(size=(2, 8, 32, 1)))
+    params = net.trainable_params()
+    T.grads(loss(net.forward(x, targets=y), y), params)  # first-call caches
+    refs.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pred = net.forward(x, targets=y)
+        dead = {name: ref() is None for name, ref in refs.items()}
+        recorded = tracemalloc.get_traced_memory()[0] - before
+        got = T.grads(loss(pred, y), params)
+        del pred, got
+        after = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert dead == {"input side": True, "pool": True, "unpool": True, "fuse": True}
+    assert len(T.tape()) == 0
+    # what is left is small objects the interpreter keeps on its free lists
+    assert after < recorded / 100, (recorded, after)

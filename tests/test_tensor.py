@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -530,9 +531,9 @@ def test_a_loss_recorded_in_another_thread_is_a_usage_error(take):
 
 def test_grads_returns_what_backward_accumulates_and_writes_no_grad():
     x, w, unused = leaf((4, 3), seed=1), leaf((3, 2), seed=2), leaf((2,), seed=3)
-    loss = T._reduce_sum(T.tanh(T.add(T.matmul(x, w), T.matmul(x, w))))
-    got = T.grads(loss, [x, w, unused])
-    back = T.backward(loss)
+    record = lambda: T._reduce_sum(T.tanh(T.add(T.matmul(x, w), T.matmul(x, w))))
+    got = T.grads(record(), [x, w, unused])
+    back = T.backward(record())  # grads consumed the first tape
     assert set(back) == {x, w}
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, [back[x], back[w]]))
     assert np.array_equal(got[2], np.zeros(2))
@@ -563,3 +564,62 @@ def test_threads_take_grads_through_shared_parameters_at_once():
     finally:
         sys.setswitchinterval(interval)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, together))
+
+
+@pytest.mark.parametrize("take", ("backward", "grads"))
+def test_backward_consumes_the_tape(take):
+    x = leaf((3,), seed=1)
+    run = {"backward": T.backward, "grads": lambda loss: T.grads(loss, [x])}[take]
+    loss = T._reduce_sum(T.tanh(T.tanh(x)))
+    T.tanh(x)  # recorded after the loss: consumed with it
+    run(loss)
+    assert len(T.tape()) == 0
+    for again in (T.backward, lambda loss: T.grads(loss, [x])):
+        with pytest.raises(UsageError, match="this thread's tape"):
+            again(loss)
+
+
+def test_a_parent_from_a_reset_tape_is_a_usage_error():
+    # the parent of a (tape id 0) was dropped; on the new tape, id 0 is the
+    # first scale(w, 1.0), so a's gradient (3) used to go to that node
+    w = leaf([2.0])
+    a = T.scale(w, 3.0)
+    T.reset_tape()
+    b = T.hadamard(T.scale(w, 1.0), T.scale(w, 1.0))
+    with pytest.raises(UsageError, match="^add: "):
+        T.add(a, b)
+    T.reset_tape()
+    a = T.scale(w, 3.0)  # recorded on the tape it is used on: d/dw (3w + w^2) = 7
+    loss = T._reduce_sum(T.add(a, T.hadamard(T.scale(w, 1.0), T.scale(w, 1.0))))
+    assert T.backward(loss)[w][0] == 7.0
+
+
+def test_a_parent_from_a_consumed_tape_is_a_usage_error():
+    w = leaf([2.0])
+    a = T.scale(w, 3.0)
+    T.backward(T._reduce_sum(a))
+    T.scale(w, 1.0)  # tape id 0 again, another tensor
+    with pytest.raises(UsageError, match="^hadamard: "):
+        T.hadamard(a, a)
+
+
+def test_a_parent_from_another_threads_tape_is_a_usage_error():
+    w = leaf((3,), seed=1)
+    a = in_thread(lambda: T.tanh(T.tanh(w)))  # tape id 1 there
+    with pytest.raises(UsageError, match="^scale: "):
+        T.scale(a, 2.0)  # this tape is empty: the id lies past its end
+    T.tanh(T.tanh(w))  # this tape's node 1 is another tensor
+    with pytest.raises(UsageError, match="^tanh: "):
+        T.tanh(a)
+    with T.no_grad():  # nothing is recorded, so the tensor is a plain input
+        assert np.array_equal(T.scale(a, 2.0).data, 2.0 * a.data)
+
+
+def test_the_tape_keeps_no_op_output():
+    x = leaf((4, 3), seed=1)
+    y = T.reshape(T.tanh(x), (3, 4))
+    loss = T._reduce_mean(y)
+    ref_y = weakref.ref(y.data)  # a view of tanh's output, which tanh's pullback reads
+    del y
+    assert ref_y() is None  # neither the tape nor reshape's or mean's pullback holds it
+    assert set(T.backward(loss)) == {x}
