@@ -2,11 +2,12 @@
 
 Each thread records its differentiable operations on its own tape, in creation
 order, so threads may run recorded forwards through the same parameters at
-once. The tape keeps only what the pullbacks read: a node holds the pullback,
-whose closure saves the arrays it needs, a handle for its output (tape id,
-shape and a weak reference) and one entry per parent (its handle, the leaf
-tensor, or a no-gradient marker). It never holds an op output, so an output
-that no pullback reads is freed as soon as the forward drops it.
+once; ``no_grad`` turns recording off for the calling thread alone. The tape
+keeps only what the pullbacks read: a node holds the pullback, whose closure
+saves the arrays it needs, a handle for its output (tape id, shape and a weak
+reference) and one entry per parent (its handle, the leaf tensor, or a
+no-gradient marker). It never holds an op output, so an output that no
+pullback reads is freed as soon as the forward drops it.
 
 ``backward`` consumes the calling thread's tape: it walks it in reverse,
 drops each node once its pullback has run, and returns the gradients of the
@@ -31,8 +32,6 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DimensionError, NumericError, PartitionError, UsageError
-
-_GRAD_ENABLED = True
 
 
 class Tensor:
@@ -140,13 +139,22 @@ class Tape:
 
 
 class _ThreadState(threading.local):
-    """The calling thread's tape."""
+    """The calling thread's tape, and whether it records (off under no_grad)."""
 
     def __init__(self):
         self.tape = Tape()
+        self.grad_enabled = True
 
 
 _STATE = _ThreadState()
+
+
+def __getattr__(name):
+    # T._GRAD_ENABLED, which the benchmark's tracer and the tests read, is
+    # the calling thread's flag
+    if name == "_GRAD_ENABLED":
+        return _STATE.grad_enabled
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def tape() -> Tape:
@@ -162,17 +170,16 @@ def reset_tape() -> None:
 
 
 class no_grad:
-    """Context manager that disables tape recording (evaluation mode)."""
+    """Context manager that disables tape recording (evaluation mode) on the
+    calling thread."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _STATE.grad_enabled
+        _STATE.grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _STATE.grad_enabled = self._prev
         return False
 
 
@@ -191,7 +198,7 @@ def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.tape_id = None
-    out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    out.requires_grad = _STATE.grad_enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         nodes = _STATE.tape.nodes
         kept = tuple(_tape_entry(p, nodes, pullback) for p in parents)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -101,12 +100,10 @@ def _to_time_major(windows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(windows, (1, 0, 2, 3)))
 
 
-# fewest node rows (windows x nodes) a shard is given: below it, thread start-up
-# and the per-op Python work, which holds the GIL, outweigh the overlap
-MIN_SHARD_ROWS = 256
-# contiguous micro-batches a training batch is cut into; their size-weighted
-# gradients are summed in this order, so a step's bits depend on this count
-# alone, never on how many threads run them
+# contiguous parts every batch of windows is cut into, with or without a
+# gradient; parts are joined (forecasts) or their size-weighted gradients
+# summed (training) in this order, so the bits depend on this count alone,
+# never on how many threads run them
 MICRO_BATCHES = 2
 # glibc malloc settings for recorded training, applied once by train_model.
 # Backward frees a micro-batch's activations as it runs, and by default glibc
@@ -117,49 +114,32 @@ MICRO_BATCHES = 2
 # before. Setting either one also stops glibc from tuning its own thresholds.
 _M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
 _HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TOP_PAD, 256 << 20))
-# BLAS computes the rows of a product in blocks of 4, and the rows of a last,
-# partial block round differently; shards of whole blocks keep every row's bits
-_ROW_BLOCK = 4
 
 
 def _blas_threads() -> int:
     """Threads per BLAS call as OpenBLAS reads them: OPENBLAS_NUM_THREADS, else
-    OMP_NUM_THREADS; 0 when neither is a count >= 1 (BLAS then takes every CPU)."""
+    OMP_NUM_THREADS; every CPU this process may run on when neither is a count
+    >= 1, since BLAS then takes them all."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "")
         if value.isdecimal() and int(value) >= 1:
             return int(value)
-    return 0
-
-
-def _window_grain(nodes: int) -> int:
-    """Fewest windows whose node rows fill whole BLAS row blocks."""
-    return _ROW_BLOCK // math.gcd(nodes, _ROW_BLOCK)
+    return len(os.sched_getaffinity(0))
 
 
 def thread_budget() -> int:
     """Threads that may compute at once: the CPUs this process may run on,
-    capped by STUNET_THREADS, over the BLAS threads each one brings; 1 when
-    no BLAS thread count is set, since BLAS then takes every CPU."""
+    capped by STUNET_THREADS, over the BLAS threads each one brings."""
     cap = thread_cap()  # read first: a bad value is an error whatever the work
-    blas = _blas_threads()
-    if not blas:
-        return 1
-    budget = len(os.sched_getaffinity(0))
-    if cap is not None:
-        budget = min(budget, cap)
-    return max(1, budget // blas)
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, cap or cpus) // _blas_threads())
 
 
-def shard_count(windows: int, nodes: int) -> int:
-    """Threads that forecast one batch of windows, within thread_budget.
-    Each shard holds at least MIN_SHARD_ROWS node rows and whole row blocks;
-    a batch whose node rows end in a partial block is not split."""
-    budget = thread_budget()
-    grain = _window_grain(nodes)
-    if windows % grain:
-        return 1
-    return max(1, min(budget, windows // grain, windows * nodes // MIN_SHARD_ROWS))
+def _cuts(size: int) -> list:
+    """Bounds of the parts a batch of ``size`` windows is cut into: MICRO_BATCHES
+    contiguous parts, ceil sizes first; a single window is not cut."""
+    parts = min(MICRO_BATCHES, size)
+    return [-(-size * k // parts) for k in range(parts + 1)]
 
 
 @functools.cache
@@ -178,39 +158,36 @@ def _keep_freed_heap() -> None:
 
 
 def _forecast(model: STUNet, windows: np.ndarray) -> np.ndarray:
-    return model.forward(Tensor(_to_time_major(windows))).data
+    with T.no_grad():
+        return model.forward(Tensor(_to_time_major(windows))).data
 
 
 def _batch_forecasts(model: STUNet, inputs: np.ndarray, batch_size: int) -> list:
     """Time-major forecasts (H, B, N, D) of each batch of windows, without
-    recording. A batch's windows are split into shard_count contiguous shards,
-    cut on whole BLAS row blocks, whose forwards run on threads (NumPy releases
-    the GIL in its large kernels) and are joined in window order, with the
-    same bits as one forward of the batch."""
+    recording. Each batch is cut as _cuts says; the parts' forwards run on up
+    to thread_budget threads (NumPy releases the GIL in its large kernels),
+    each under no_grad on its own thread, and are joined in window order, so
+    the bits do not depend on the thread count."""
     if np.ndim(inputs) != 4:
         raise DimensionError(f"windows must be a (W, J, N, D) array, got shape {np.shape(inputs)}")
     if inputs.shape[0] == 0:
         raise UsageError("no windows to forecast")
     _check_batch_size(batch_size)
     out = []
-    with T.no_grad():
-        for lo in range(0, inputs.shape[0], batch_size):
-            batch = inputs[lo : lo + batch_size]
-            shards = shard_count(batch.shape[0], batch.shape[2])
-            grain = _window_grain(batch.shape[2])
-            cuts = [grain * (batch.shape[0] // grain * k // shards) for k in range(shards)]
-            cuts.append(batch.shape[0])
-            parts = _in_threads(shards, _forecast,
-                                [(model, batch[a:b]) for a, b in zip(cuts, cuts[1:])])
-            out.append(parts[0] if shards == 1 else np.concatenate(parts, axis=1))
+    for lo in range(0, inputs.shape[0], batch_size):
+        batch = inputs[lo : lo + batch_size]
+        cuts = _cuts(batch.shape[0])
+        parts = _in_threads(_forecast, [(model, batch[a:b]) for a, b in zip(cuts, cuts[1:])])
+        out.append(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
     return out
 
 
-def _in_threads(threads: int, fn, jobs: list) -> list:
-    """fn(*job) for each job, in job order. One thread runs the jobs in turn on
-    the caller's thread; more run them on that many new threads, which all
-    end before this returns, also when a job raises (the first job's error
-    in job order is raised)."""
+def _in_threads(fn, jobs: list) -> list:
+    """fn(*job) for each job, in job order, on up to thread_budget threads.
+    One thread runs the jobs in turn on the caller's thread; more run them on
+    that many new threads, which all end before this returns, also when a job
+    raises (the first job's error in job order is raised)."""
+    threads = min(len(jobs), thread_budget())
     if threads == 1:
         return [fn(*job) for job in jobs]
     from concurrent.futures import ThreadPoolExecutor
@@ -256,18 +233,17 @@ def batch_grads(model: STUNet, params: list, inputs: np.ndarray, targets: np.nda
                 teacher: tuple) -> tuple:
     """Loss and parameter gradients of one batch of windows, inputs (W, J, N, D)
     and targets (W, H, N, D), whose decoders take the targets where ``teacher``
-    says. The batch is cut into MICRO_BATCHES contiguous micro-batches (ceil
-    sizes first), which run on up to thread_budget threads; their loss and
-    gradients, weighted by size, are summed in micro-batch order, so the bits
-    do not depend on the thread count. One micro-batch gives exactly the
-    loss and gradients of the whole batch."""
+    says. The batch is cut into micro-batches as _cuts says, which run on up
+    to thread_budget threads; their loss and gradients, weighted by size, are
+    summed in micro-batch order, so the bits do not depend on the thread
+    count. One micro-batch gives exactly the loss and gradients of the whole
+    batch."""
     size = inputs.shape[0]
-    parts = min(MICRO_BATCHES, size)
-    cuts = [-(-size * k // parts) for k in range(parts + 1)]
+    cuts = _cuts(size)
     jobs = [(model, params, Tensor(_to_time_major(inputs[a:b])),
              Tensor(_to_time_major(targets[a:b])), teacher, (b - a) / size)
             for a, b in zip(cuts, cuts[1:])]
-    results = _in_threads(min(parts, thread_budget()), _micro_batch_grads, jobs)
+    results = _in_threads(_micro_batch_grads, jobs)
     total, grads = results[0]
     for part_loss, part_grads in results[1:]:
         total += part_loss

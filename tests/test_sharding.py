@@ -1,9 +1,10 @@
-"""Sharded no-grad forecasts: a batch's windows split across threads give the
-bits of one forward, the shard rule, errors raised in a shard, thread and
-module hygiene, and the forward's memory under no_grad. Micro-batch training:
-one micro-batch is the whole-batch step bit for bit, two sum to the batch
-gradient, the bytes do not depend on the thread count, and a micro-batch's
-error, threads and tape end with the step."""
+"""The one split rule for every batch of windows: the cut sizes and the
+thread budget. Sharded no-grad forecasts: their bytes do not depend on the
+thread count, errors raised in a shard, thread and module hygiene, and the
+forward's memory under no_grad. Micro-batch training: one micro-batch is the
+whole-batch step bit for bit, two sum to the batch gradient, the bytes do not
+depend on the thread count, and a micro-batch's error, threads and tape end
+with the step."""
 
 import os
 import subprocess
@@ -24,7 +25,7 @@ from stunet.model import STUNet, STUNetConfig, build, loss, save_checkpoint
 from stunet.recurrent import teacher_steps
 from stunet.tensor import Tensor
 from stunet.training import (
-    RunConfig, batch_grads, dataset_loss, predict_windows, shard_count, train_model,
+    RunConfig, batch_grads, dataset_loss, predict_windows, thread_budget, train_model,
     write_history,
 )
 
@@ -45,12 +46,11 @@ def windows_for(model, count, seed=0):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the CPUs the shard rule sees, with one BLAS thread and no
-    STUNET_THREADS, and let shards be as small as one window."""
+    """Set the CPUs thread_budget sees, with one BLAS thread and no
+    STUNET_THREADS."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.delenv("STUNET_THREADS", raising=False)
-    monkeypatch.setattr(training, "MIN_SHARD_ROWS", 1)
 
     def set_cpus(count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
@@ -72,70 +72,61 @@ def counted_forwards(monkeypatch, model):
     return done
 
 
-# a 6x6 grid applies L~ as a dense matrix, a 12x12 grid through its ELL gathers
-@pytest.mark.parametrize("rows", (6, 12))
+# a 6x6 grid applies L~ as a dense matrix, 9x9 and 12x12 grids through their
+# ELL gathers; a 9x9 window's 81 node rows are not a multiple of 4
+@pytest.mark.parametrize("rows", (6, 9, 12))
 @pytest.mark.parametrize("unpool_mode", ("direct_copy", "ordered_deconv", "weighted_deconv"))
 @pytest.mark.parametrize("layer_norm", (False, True))
-def test_sharded_forecasts_equal_one_forward_bytes(cpus, monkeypatch, rows, unpool_mode,
-                                                   layer_norm):
+def test_forecast_bytes_do_not_depend_on_the_thread_count(cpus, monkeypatch, rows, unpool_mode,
+                                                          layer_norm):
     model = small_model(rows, rows, unpool_mode=unpool_mode, layer_norm=layer_norm)
     assert (model.laps[0].ell is None) == (rows == 6)
     inputs, targets = windows_for(model, 7)
     done = counted_forwards(monkeypatch, model)
     results = {}
-    for shards, sizes in ((1, [7]), (2, [3, 4]), (3, [2, 2, 3])):
-        cpus(shards)
-        assert shard_count(7, model.graph.n) == shards
+    for count in (1, 2, 3):
+        cpus(count)
         done.clear()
-        results[shards] = (predict_windows(model, inputs).tobytes(),
-                           dataset_loss(model, inputs, targets))
-        assert sorted(size for size, _ in done) == sorted(sizes * 2)  # one forward a shard
+        results[count] = (predict_windows(model, inputs).tobytes(),
+                          dataset_loss(model, inputs, targets))
+        assert sorted(size for size, _ in done) == [3, 3, 4, 4]  # two parts a call
+        main = [ident == threading.get_ident() for _, ident in done]
+        assert all(main) if count == 1 else not any(main)
     assert results[2] == results[1] and results[3] == results[1]
 
 
-def test_shards_cut_on_whole_blas_row_blocks(cpus, monkeypatch):
-    # 81 nodes: a shard's node rows fill whole blocks of 4 only in steps of 4
-    # windows, and a row in a partial block rounds differently, so the batch of
-    # 12 is cut in three and the batch of 7 is not cut at all
-    model = small_model(9, 9)
-    inputs, targets = windows_for(model, 19)
-    cpus(1)
-    one = predict_windows(model, inputs, batch_size=12).tobytes()
-    loss_one = dataset_loss(model, inputs, targets, batch_size=12)
-    cpus(3)
-    done = counted_forwards(monkeypatch, model)
-    assert predict_windows(model, inputs, batch_size=12).tobytes() == one
-    assert sorted(size for size, _ in done) == [4, 4, 4, 7]
-    assert dataset_loss(model, inputs, targets, batch_size=12) == loss_one
+@pytest.mark.parametrize("micro_batches, size, sizes", [
+    (2, 1, [1]),  # a single window is not cut
+    (2, 2, [1, 1]),
+    (2, 7, [4, 3]),  # ceil sizes first
+    (2, 16, [8, 8]),
+    (5, 3, [1, 1, 1]),
+    (5, 9, [2, 2, 2, 2, 1]),
+    (5, 15, [3, 3, 3, 3, 3]),
+])
+def test_cut_sizes(monkeypatch, micro_batches, size, sizes):
+    monkeypatch.setattr(training, "MICRO_BATCHES", micro_batches)
+    cuts = training._cuts(size)
+    assert cuts[0] == 0 and cuts[-1] == size
+    assert [b - a for a, b in zip(cuts, cuts[1:])] == sizes
 
 
 @pytest.mark.parametrize(
-    "stunet_threads, openblas, omp, cpu_count, windows, nodes, expected",
+    "stunet_threads, openblas, omp, cpu_count, expected",
     [
-        (None, None, None, 2, 16, 576, 1),  # BLAS takes every CPU itself
-        (None, "1", None, 2, 16, 576, 2),
-        (None, None, "1", 2, 16, 576, 2),  # OMP_NUM_THREADS when OpenBLAS's is unset
-        (None, "abc", "1", 2, 16, 576, 2),  # ... or not a count
-        (None, "0", None, 2, 16, 576, 1),  # 0 reads as unset, as OpenBLAS reads it
-        (None, "2", "1", 2, 16, 576, 1),  # two BLAS threads fill both CPUs
-        (None, "2", None, 5, 16, 576, 2),
-        ("1", "1", None, 2, 16, 576, 1),
-        ("3", "1", None, 8, 16, 576, 3),
-        ("8", "1", None, 4, 16, 576, 4),
-        (None, "1", None, 8, 3, 576, 3),  # at most one shard per window
-        (None, "1", None, 2, 1, 576, 1),
-        (None, "1", None, 2, 6, 64, 1),  # 384 node rows: under 256 per shard
-        (None, "1", None, 2, 8, 64, 2),
-        (None, "1", None, 8, 16, 64, 4),
-        (None, "1", None, 4, 7, 81, 1),  # 567 node rows end in a partial block
-        (None, "1", None, 4, 8, 81, 2),  # whole blocks in steps of 4 windows
-        (None, "1", None, 4, 12, 81, 3),
-        (None, "1", None, 4, 14, 18, 1),  # 252 node rows: too few to split
-        (None, "1", None, 4, 30, 18, 2),  # steps of 2 windows
+        (None, None, None, 2, 1),  # BLAS takes every CPU itself
+        (None, "1", None, 2, 2),
+        (None, None, "1", 2, 2),  # OMP_NUM_THREADS when OpenBLAS's is unset
+        (None, "abc", "1", 2, 2),  # ... or not a count
+        (None, "0", None, 2, 1),  # 0 reads as unset, as OpenBLAS reads it
+        (None, "2", "1", 2, 1),  # two BLAS threads fill both CPUs
+        (None, "2", None, 5, 2),
+        ("1", "1", None, 2, 1),
+        ("3", "1", None, 8, 3),
+        ("8", "1", None, 4, 4),
     ],
 )
-def test_shard_rule(monkeypatch, stunet_threads, openblas, omp, cpu_count, windows, nodes,
-                    expected):
+def test_thread_budget(monkeypatch, stunet_threads, openblas, omp, cpu_count, expected):
     for var, value in (("STUNET_THREADS", stunet_threads), ("OPENBLAS_NUM_THREADS", openblas),
                        ("OMP_NUM_THREADS", omp)):
         if value is None:
@@ -143,7 +134,7 @@ def test_shard_rule(monkeypatch, stunet_threads, openblas, omp, cpu_count, windo
         else:
             monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpu_count)))
-    assert shard_count(windows, nodes) == expected
+    assert thread_budget() == expected
 
 
 @pytest.mark.parametrize("value", ("abc", "0", "-3", "1.5"))
@@ -211,7 +202,7 @@ def test_an_error_in_one_shard_reaches_the_caller_after_every_shard(cpus, monkey
     with pytest.raises(NumericError, match="non-finite"):
         predict_windows(model, inputs)
     assert threading.active_count() == before
-    assert [size for size, _ in done] == [3]  # the other shard ran to its end
+    assert [size for size, _ in done] == [4]  # the other shard ran to its end
     with pytest.raises(NumericError, match="non-finite"):
         dataset_loss(model, inputs, targets)
     assert threading.active_count() == before
@@ -236,23 +227,21 @@ def test_one_window_starts_no_thread_and_imports_no_module(tmp_path):
         "import sys, threading, numpy as np\n"
         "from stunet.data import knn_grid_graph\n"
         "from stunet.model import STUNetConfig, build\n"
-        "from stunet.training import predict_windows, shard_count\n"
+        "from stunet.training import predict_windows\n"
         "m = build(STUNetConfig(k=2, p=1, s=2, hidden_sizes=(4, 4), j=6, h=2), "
         "knn_grid_graph(24, 24))\n"
         "starts = []\n"
         "threading.Thread.start = lambda self: starts.append(self)\n"
         "loaded = set(sys.modules)\n"
         "predict_windows(m, np.ones((1, 6, 576, 1)))\n"
-        "print(shard_count(2, 576), len(starts), sorted(set(sys.modules) - loaded))\n"
+        "print(len(starts), sorted(set(sys.modules) - loaded))\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
     env.pop("STUNET_THREADS", None)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    shards, starts, modules = done.stdout.split(maxsplit=2)
-    # two windows of this graph would be split on a host with 2 CPUs
-    assert shards == str(min(2, len(os.sched_getaffinity(0))))
+    starts, modules = done.stdout.split(maxsplit=1)
     assert starts == "0" and modules.strip() == "[]"
 
 
@@ -288,9 +277,10 @@ def test_no_grad_forward_drops_each_skip_once_used():
     assert peak < 9.5 * sequence
 
 
-def test_more_shards_than_cpus_under_fast_thread_switches(cpus):
-    # the shards share the model and the grad flag: switching threads every
-    # microsecond would show any state a forward writes as changed bytes
+def test_more_shards_than_cpus_under_fast_thread_switches(cpus, monkeypatch):
+    # the shards share the model: switching threads every microsecond would
+    # show any state a forward writes as changed bytes
+    monkeypatch.setattr(training, "MICRO_BATCHES", 5)
     model = small_model(6, 6, layer_norm=True)
     inputs, _ = windows_for(model, 15)
     cpus(1)
@@ -302,6 +292,7 @@ def test_more_shards_than_cpus_under_fast_thread_switches(cpus):
         assert predict_windows(model, inputs).tobytes() == one
     finally:
         sys.setswitchinterval(interval)
+    assert T._GRAD_ENABLED  # each shard turned recording off for itself alone
 
 
 # -- micro-batch training ----------------------------------------------------
@@ -385,8 +376,8 @@ def test_two_micro_batches_sum_to_the_batch_gradient(cpus, monkeypatch):
 
 
 def test_more_micro_batches_than_cpus_under_fast_thread_switches(cpus, monkeypatch):
-    # the micro-batches share the model, its parameters and the grad flag:
-    # switching threads every microsecond would show a shared write as changed bytes
+    # the micro-batches share the model and its parameters: switching threads
+    # every microsecond would show a shared write as changed bytes
     monkeypatch.setattr(training, "MICRO_BATCHES", 5)
     model = small_model(6, 6, layer_norm=True)
     params = model.trainable_params()

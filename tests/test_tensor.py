@@ -500,6 +500,43 @@ def test_a_new_thread_starts_with_an_empty_tape():
     assert in_thread(lambda: len(T.tape())) == 0
 
 
+def test_no_grad_turns_recording_off_for_its_own_thread_alone():
+    # two no_grad blocks on two threads that overlap and exit first-in first:
+    # with one process-wide flag the second exit restored the first's "off",
+    # and every thread stopped recording for good
+    x = leaf((3,), seed=1)
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def first():
+        with T.no_grad():
+            a_in.set()
+            b_in.wait(60)
+            seen["a"] = T.tanh(x).requires_grad
+        a_out.set()
+
+    def second():
+        a_in.wait(60)
+        with T.no_grad():
+            b_in.set()
+            a_out.wait(60)
+            seen["b"] = T.tanh(x).requires_grad
+        seen["b after"] = T._GRAD_ENABLED
+
+    workers = [threading.Thread(target=first), threading.Thread(target=second)]
+    for worker in workers:
+        worker.start()
+    a_in.wait(60)
+    seen["main during"] = T.tanh(x).requires_grad  # inside the first block's window
+    for worker in workers:
+        worker.join(timeout=60)
+    assert not any(worker.is_alive() for worker in workers)
+    assert seen == {"a": False, "b": False, "b after": True, "main during": True}
+    assert T._GRAD_ENABLED
+    loss = T._reduce_sum(T.tanh(x))
+    assert np.array_equal(T.grads(loss, [x])[0], 1.0 - np.tanh(x.data) ** 2)
+
+
 def test_recording_in_another_thread_leaves_this_tape_unchanged():
     x = leaf((3,), seed=1)
     y = T.tanh(x)
