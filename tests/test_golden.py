@@ -1,11 +1,12 @@
-"""Stored forecasts and checkpoints of a small U model, byte for byte.
+"""Stored forecasts, gradients and checkpoints of a small U model, byte for byte.
 
 A p=2 model on a 6x6 grid, built for every combination of ``unpool_mode``,
 ``pool_mode`` and ``layer_norm``, must forecast the bytes under
-``data/unet_golden/`` and write the checkpoint stored beside them. This pins
-the parameter names and their order, the pooling and unpooling arithmetic and
-the channel order of the skip join (the encoder's channels come last) against
-refactors that should change none of them. After a deliberate change of the
+``data/unet_golden/``, give the parameter gradients of one recorded loss
+stored beside them, and write the stored checkpoint. This pins the parameter
+names and their order, the pooling and unpooling arithmetic, the channel order
+of the skip join (the encoder's channels come last) and every pullback
+against refactors that should change none of them. After a deliberate change of the
 arithmetic or of the checkpoint format, rewrite the files from the repository
 root with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -18,7 +19,7 @@ import pytest
 
 from stunet import tensor as T
 from stunet.data import knn_grid_graph
-from stunet.model import STUNetConfig, build, save_checkpoint
+from stunet.model import STUNetConfig, build, loss, save_checkpoint
 from stunet.sampling import UNPOOL_MODES
 from stunet.tensor import Tensor
 
@@ -31,7 +32,8 @@ def _name(unpool_mode, pool_mode, layer_norm):
 
 
 def _render(tmp_dir, unpool_mode, pool_mode, layer_norm):
-    """(forecast bytes, checkpoint bytes) of the case's fresh model."""
+    """(forecast bytes, gradient bytes, checkpoint bytes) of the case's fresh
+    model; the gradients are those of every trainable parameter, in order."""
     cfg = STUNetConfig(k=2, p=2, s=2, hidden_sizes=(3, 4, 5), pool_mode=pool_mode,
                        unpool_mode=unpool_mode, layer_norm=layer_norm, j=5, h=2, seed=7)
     model = build(cfg, knn_grid_graph(6, 6))
@@ -39,16 +41,18 @@ def _render(tmp_dir, unpool_mode, pool_mode, layer_norm):
     model.norm_std.data[...] = 0.5
     x = np.random.default_rng(11).normal(size=(cfg.j, 2, 36, 1))
     T.reset_tape()
-    forecast = model.forward(Tensor(x)).data.tobytes()
+    pred = model.forward(Tensor(x))
+    target = Tensor(np.random.default_rng(12).normal(size=pred.shape))
+    grads = T.grads(loss(pred, target), model.trainable_params())
     path = os.path.join(tmp_dir, _name(unpool_mode, pool_mode, layer_norm) + ".ckpt")
     save_checkpoint(model, path)
     with open(path, "rb") as fh:
-        return forecast, fh.read()
+        return pred.data.tobytes(), b"".join(g.tobytes() for g in grads), fh.read()
 
 
 @pytest.mark.parametrize("case", CASES, ids=[_name(*c) for c in CASES])
 def test_forecast_and_checkpoint_bytes_are_pinned(tmp_path, case):
-    forecast, ckpt = _render(str(tmp_path), *case)
+    forecast, _, ckpt = _render(str(tmp_path), *case)
     stem = os.path.join(GOLDEN, _name(*case))
     with open(stem + ".fwd", "rb") as fh:
         assert forecast == fh.read()
@@ -56,9 +60,17 @@ def test_forecast_and_checkpoint_bytes_are_pinned(tmp_path, case):
         assert ckpt == fh.read()
 
 
+@pytest.mark.parametrize("case", CASES, ids=[_name(*c) for c in CASES])
+def test_gradient_bytes_are_pinned(tmp_path, case):
+    _, grads, _ = _render(str(tmp_path), *case)
+    with open(os.path.join(GOLDEN, _name(*case) + ".grad"), "rb") as fh:
+        assert grads == fh.read()
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     for case in CASES:
-        forecast, _ = _render(GOLDEN, *case)
-        with open(os.path.join(GOLDEN, _name(*case) + ".fwd"), "wb") as fh:
-            fh.write(forecast)
+        forecast, grads, _ = _render(GOLDEN, *case)
+        for ext, data in ((".fwd", forecast), (".grad", grads)):
+            with open(os.path.join(GOLDEN, _name(*case) + ext), "wb") as fh:
+                fh.write(data)
