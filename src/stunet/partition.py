@@ -192,19 +192,21 @@ def contract(g: Graph, parent: np.ndarray) -> Graph:
 class PartitionMap:
     """Hierarchy of graphs with the node-to-supernode map at each level.
 
-    Built once per level k, for unpooling: ``slots[k]``, the slot of each
-    finer node within its supernode (heaviest finer-graph weighted degree
-    first, ties to the lower id), and ``member_stats[k]``, per finer node its
-    degree over the level's max degree, its degree and its supernode's size.
+    Built once per level k: ``tables[k]``, the ``member_table`` of the
+    level's parent map (as pooling reads it, and whose width is the largest
+    supernode), and for unpooling ``slots[k]``, the slot of each finer node
+    within its supernode (heaviest finer-graph weighted degree first, ties to
+    the lower id), and ``member_stats[k]``, per finer node its degree over the
+    level's max degree, its degree and its supernode's size.
     """
 
     graphs: list  # graphs[0] finest, graphs[-1] coarsest
     parents: list  # parents[k][i] = supernode of node i when moving to level k+1
 
     def __post_init__(self):
-        self.slots, self.member_stats = [], []
+        self.tables, self.slots, self.member_stats = [], [], []
         for fine, coarse, parent in zip(self.graphs, self.graphs[1:], self.parents):
-            _, counts = member_table(parent, fine.n, coarse.n)
+            table, counts = member_table(parent, fine.n, coarse.n)
             deg = fine.degrees()
             # grouped by supernode, heaviest first; lexsort is stable, so ties
             # keep ascending node id
@@ -213,6 +215,7 @@ class PartitionMap:
             slot[ranked] = np.arange(fine.n) - np.repeat(np.cumsum(counts) - counts, counts)
             max_deg = deg.max(initial=0.0)
             scaled = deg / max_deg if max_deg > 0 else np.zeros_like(deg)
+            self.tables.append((table, counts))
             self.slots.append(slot)
             self.member_stats.append(np.column_stack((scaled, deg, counts[parent])))
 

@@ -9,7 +9,9 @@ advances the hidden state from step t-s to step t, so one layer with dilation
 s maintains s interleaved recurrence chains. The layer runs them side by side:
 it walks the sequence in blocks of s consecutive steps, which hold one step of
 every chain on the leading axis, and one cell step advances a whole block from
-the previous block's output, writing it into one buffer for the layer.
+the previous block's output, writing it into one buffer for the layer. The
+first block starts from the zero state, passed as ``h_prev=None``: its step
+computes no basis or product of the state and keeps none for backward.
 Encoding runs a stack of such layers, one dilation per layer with the first
 undilated, and pools one spatial level between stages; decoding rolls a cell
 forward step by step, feeding back its own predictions (or, during training,
@@ -167,7 +169,8 @@ class FoldedCell:
         return T.matmul(cheb_basis(lap, x, self.w.order), self.wx)
 
     def step(
-        self, lap: GraphLaplacian, xw: Tensor, h_prev: Tensor, rows=None, out=None, t=0
+        self, lap: GraphLaplacian, xw: Tensor, h_prev: Tensor | None, rows=None,
+        out=None, t=0,
     ) -> Tensor:
         """Advance the state one step, as one op.
 
@@ -179,33 +182,53 @@ class FoldedCell:
             c     = tanh((xw_h + B(r * h_prev) U_h) + b_h)
             h     = c + z * (h_prev - c),  then the optional layer norm
 
-        written into ``out`` when given. A non-finite gate pre-activation
-        raises NumericError naming the gate and ``t``, the time step of the
-        first row; the checked [z|r] pre-activation then becomes the gates in
-        place, with the same ``sigmoid_array`` as ``T.sigmoid``.
+        written into ``out`` when given. ``h_prev=None`` is the zero state:
+        the pre-activations are then the input side plus the biases, and the
+        step computes no basis or product of the state, nor ``r * h_prev``,
+        and takes no gradient for U_z, U_r or U_h. A recorded step keeps
+        blocks 1..K-1 of its two bases; backward rebuilds block 0, which is
+        ``h_prev`` and ``r * h_prev``. A non-finite gate pre-activation raises
+        NumericError naming the gate and ``t``, the time step of the first
+        row; the checked [z|r] pre-activation then becomes the gates in place,
+        with the same ``sigmoid_array`` as ``T.sigmoid``.
         """
         w, d = self.w, self.w.d_h
         xs = xw.data if rows is None else xw.data[rows]
-        hp = h_prev.data
-        if xs.shape[:-1] != hp.shape[:-1] or (xs.shape[-1], hp.shape[-1]) != (3 * d, d):
+        zero = h_prev is None
+        hp = 0.0 if zero else h_prev.data
+        hshape = xs.shape[:-1] + (d,) if zero else hp.shape
+        if xs.shape[:-1] != hshape[:-1] or (xs.shape[-1], hshape[-1]) != (3 * d, d):
             raise DimensionError(
                 f"cell expects input side (..., {3 * d}) and state (..., {d}) with "
-                f"equal leading extents, got {xs.shape} and {hp.shape}"
+                f"equal leading extents, got {xs.shape} and {hshape}"
             )
         k, uzr, uh, b = w.order, self.uzr.data, self.uh.data, self.b.data
-        bh = lap.basis(hp, k)
-        zr = T.flat_matmul(bh, uzr)
-        np.add(xs[..., : 2 * d], zr, out=zr)
-        zr += b[: 2 * d]
+        parents = (xw, self.b) if zero else (xw, h_prev, self.uzr, self.uh, self.b)
+        if w.ln_gain is not None:
+            parents += (w.ln_gain, w.ln_bias)
+        keep = not zero and T.records(parents)
+        if zero:
+            zr = np.add(xs[..., : 2 * d], b[: 2 * d])
+        else:
+            bh = lap.basis(hp, k)
+            zr = T.flat_matmul(bh, uzr)
+            np.add(xs[..., : 2 * d], zr, out=zr)
+            zr += b[: 2 * d]
         _check_finite(zr, "update/reset gate", t)
         T.sigmoid_array(zr, out=zr)
         z, r = zr[..., :d], zr[..., d:]
-        br = lap.basis(r * hp, k)
-        c = T.flat_matmul(br, uh)
-        np.add(xs[..., 2 * d :], c, out=c)
-        c += b[2 * d :]
+        if zero:
+            c = np.add(xs[..., 2 * d :], b[2 * d :])
+        else:
+            br = lap.basis(r * hp, k)
+            c = T.flat_matmul(br, uh)
+            np.add(xs[..., 2 * d :], c, out=c)
+            c += b[2 * d :]
         _check_finite(c, "candidate", t)
         np.tanh(c, out=c)
+        # block 0 of each basis is an array the pullback holds or rebuilds
+        bh_tail = bh[..., d:].copy() if keep else None
+        br_tail = br[..., d:].copy() if keep else None
         ln = w.ln_gain is not None
         h = np.subtract(hp, c, out=None if ln else out)
         h *= z
@@ -213,7 +236,7 @@ class FoldedCell:
         if ln:
             h, xhat, inv_std = T.layer_norm_array(h, w.ln_gain.data, w.ln_bias.data, out)
 
-        shape, needs_dh = xs.shape, h_prev.requires_grad
+        shape = xs.shape
 
         def pull(g):
             grads = T.layer_norm_pull(g, xhat, inv_std, w.ln_gain.data) if ln else (g,)
@@ -223,23 +246,25 @@ class FoldedCell:
             np.multiply(g - gz, 1.0 - c * c, out=gx[..., 2 * d :])
             np.multiply(g * (hp - c), z * (1.0 - z), out=gx[..., :d])
             dc = gx[..., 2 * d :]
+            dxw = gx if rows is None else (rows, gx)
+            if zero:  # r multiplies the zero state, so its gradient is zero
+                gx[..., d : 2 * d] = 0.0
+                return (dxw, _flat(gx).sum(axis=0)) + grads[1:]
             drh = lap.basis_transpose(T.flat_matmul(dc, uh.T), k)
             np.multiply(drh * hp, r * (1.0 - r), out=gx[..., d : 2 * d])
             dzr = gx[..., : 2 * d]
-            dh_prev = None  # the zero state a layer starts from takes no gradient
-            if needs_dh:
-                dh_prev = gz + drh * r + lap.basis_transpose(T.flat_matmul(dzr, uzr.T), k)
+            dh_prev = gz + drh * r + lap.basis_transpose(T.flat_matmul(dzr, uzr.T), k)
+            # the forward's two bases, whole, so the weight gradients are its bits
+            bh = np.concatenate((hp, bh_tail), axis=-1)
+            br = np.concatenate((r * hp, br_tail), axis=-1)
             return (
-                gx if rows is None else (rows, gx),
+                dxw,
                 dh_prev,
                 _flat(bh).T @ _flat(dzr),
                 _flat(br).T @ _flat(dc),
                 _flat(gx).sum(axis=0),
             ) + grads[1:]
 
-        parents = (xw, h_prev, self.uzr, self.uh, self.b)
-        if ln:
-            parents += (w.ln_gain, w.ln_bias)
         return T.apply_op(h, parents, pull)
 
 
@@ -270,13 +295,13 @@ def dilated_layer_forward(
     """Run one layer over a stacked sequence (leading axis = time).
 
     The state consumed at step t is the output of step t-s; steps with
-    t-s < 0 start from the zero state. Steps are taken in blocks of s, so
-    block b is steps b*s .. b*s+s-1 and its previous-state block is the output
-    of block b-1, row for row. A short last block (s not dividing the length)
-    takes the first rows of that output. s=1 is a plain recurrent scan. The
-    input side is computed for chunks of whole blocks (the whole sequence
-    when it is small, see _CHUNK_ELEMS), and every block writes its output
-    into one buffer, which is the layer's output.
+    t-s < 0 start from the zero state (``h_prev=None``). Steps are taken in
+    blocks of s, so block b is steps b*s .. b*s+s-1 and its previous-state
+    block is the output of block b-1, row for row. A short last block (s not
+    dividing the length) takes the first rows of that output. s=1 is a plain
+    recurrent scan. The input side is computed for chunks of whole blocks
+    (the whole sequence when it is small, see _CHUNK_ELEMS), and every block
+    writes its output into one buffer, which is the layer's output.
     """
     if s < 1:
         raise UsageError("dilation must be >= 1")
@@ -287,14 +312,14 @@ def dilated_layer_forward(
     out = np.empty(inputs.data.shape[:-1] + (w.d_h,))
     block_elems = out[:s].size // w.d_h * (w.order * w.d_x + 3 * w.d_h)
     chunk = s * max(1, _CHUNK_ELEMS // block_elems)
-    h = Tensor(np.zeros(out[:s].shape))
+    h = None  # the zero state
     blocks = []
     for c0 in range(0, steps, chunk):
         x = inputs if chunk >= steps else T.select_step(inputs, slice(c0, c0 + chunk))
         xw = cell.input_side(lap, x)
         for lo in range(c0, min(c0 + chunk, steps), s):
             hi = min(lo + s, steps)
-            if hi - lo < h.data.shape[0]:
+            if h is not None and hi - lo < h.data.shape[0]:
                 h = T.select_step(h, slice(0, hi - lo))
             h = cell.step(lap, xw, h, slice(lo - c0, hi - c0), out[lo:hi], lo)
             blocks.append(h)

@@ -11,8 +11,8 @@ learned per-slot linear (slot order given by finer-graph degree), or the
 slot output concatenated with member structure statistics and linearly
 mixed. Every strategy reads each finer node from its supernode's row with
 one gather; the learned ones first multiply the coarse rows by all slot
-matrices in one product. The slots and the statistics are built once, with
-the partition map.
+matrices in one product. The member tables, the slots and the statistics
+are built once, with the partition map.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def g_pooling(
         raise UsageError(f"bad pooling range {from_level}..{to_level}")
     for k in range(from_level, to_level):
         _check_nodes(x, pm.graphs[k].n)
-        x = T.segment_reduce(x, pm.parents[k], mode)
+        x = T.segment_reduce(x, pm.parents[k], mode, pm.tables[k])
     return x
 
 
@@ -122,7 +122,7 @@ def unpool(
             x = T.gather_rows(x, parent)
             continue
         slot = pm.slots[k]
-        if slot.max(initial=0) >= MAX_GROUP:
+        if pm.tables[k][0].shape[1] > MAX_GROUP:  # the widest supernode
             raise PartitionError(f"level {k} has a supernode of over {MAX_GROUP} members")
         slotted = T.matmul(x, T.concat_channels(*strategy.slot_w))
         slotted = T.reshape(slotted, x.data.shape[:-2] + (MAX_GROUP * x.data.shape[-2], -1))

@@ -198,13 +198,20 @@ def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.tape_id = None
-    out.requires_grad = _STATE.grad_enabled and any(p.requires_grad for p in parents)
+    out.requires_grad = records(parents)
     if out.requires_grad:
         nodes = _STATE.tape.nodes
         kept = tuple(_tape_entry(p, nodes, pullback) for p in parents)
         out.tape_id = len(nodes)
         nodes.append(_Node(_Out(out), kept, pullback))
     return out
+
+
+def records(parents) -> bool:
+    """Whether ``apply_op`` records an op on ``parents``: the calling thread
+    records and some parent takes a gradient. An op whose pullback saves
+    extra arrays asks this first, so an unrecorded op saves none."""
+    return _STATE.grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _tape_entry(parent: Tensor, nodes: list, pullback):
@@ -478,17 +485,18 @@ def _fold_members(xd: np.ndarray, table, counts, fold, identity: float) -> np.nd
     return out
 
 
-def segment_reduce(x: Tensor, segments: np.ndarray, mode: str) -> Tensor:
+def segment_reduce(x: Tensor, segments: np.ndarray, mode: str, table=None) -> Tensor:
     """Per-segment reduction over the node axis (second to last).
 
     ``mode='mean'`` spreads the gradient uniformly over members; ``mode='max'``
-    routes it to the first attaining member in node-index order.
+    routes it to the first attaining member in node-index order. ``table`` is
+    the ``member_table`` of ``segments`` when the caller has built it.
     """
     if mode not in ("max", "mean"):
         raise UsageError(f"unknown segment_reduce mode {mode!r}")
     xd = x.data
     segments = np.asarray(segments, dtype=np.int64)
-    table, counts = member_table(segments, xd.shape[-2])
+    table, counts = table or member_table(segments, xd.shape[-2])
     # +0.0 and -inf are the starts np.mean and np.max fold from
     fold, identity = (np.add, 0.0) if mode == "mean" else (np.maximum, -np.inf)
     out = _fold_members(xd, table, counts, fold, identity)

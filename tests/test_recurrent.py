@@ -335,9 +335,9 @@ def test_block_scan_steps_once_per_block(monkeypatch):
 
 
 def test_zero_start_state_gets_no_gradient(monkeypatch):
-    # one block (s >= steps) starts from the constant zero state: its backward
-    # runs one Clenshaw recursion for the reset gate and one for the input's
-    # basis, and none for a state gradient nothing reads
+    # one block (s >= steps) starts from the zero state: its backward runs one
+    # Clenshaw recursion, for the input's basis, and none for the reset gate or
+    # for a state gradient nothing reads
     calls = []
     transpose = GraphLaplacian.basis_transpose
     monkeypatch.setattr(
@@ -347,8 +347,90 @@ def test_zero_start_state_gets_no_gradient(monkeypatch):
     lap = normalized_laplacian(path_graph(4))
     x = leaf((2, 4, 2), seed=15)
     got = T.backward(T._reduce_sum(dilated_layer_forward(make_weights(16), lap, x, 2)))
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert got[x].shape == x.shape
+
+
+def test_a_zero_state_block_takes_a_basis_of_its_input_alone(monkeypatch):
+    # the input side is one basis per chunk; every block after the first
+    # takes two of its state (B(h_prev) and B(r * h_prev)), the first none
+    widths = []
+    basis = GraphLaplacian.basis
+    monkeypatch.setattr(
+        GraphLaplacian, "basis",
+        lambda self, v, k: widths.append(v.shape[-1]) or basis(self, v, k),
+    )
+    lap = normalized_laplacian(path_graph(4))
+    w = make_weights(31, d_x=2, d_h=3)
+    rng = np.random.default_rng(32)
+    for s in (1, 2, 3, 4):
+        for j in range(1, 10):
+            widths.clear()
+            x = Tensor(rng.normal(size=(j, 2, 4, 2)), requires_grad=True)
+            dilated_layer_forward(w, lap, x, s)
+            assert widths == [2] + [3] * (2 * (math.ceil(j / s) - 1)), (s, j)
+
+
+def test_a_recorded_step_keeps_no_full_basis_of_its_state(monkeypatch):
+    # the pullbacks keep blocks 1..K-1 of B(h_prev) and B(r * h_prev), never
+    # the whole basis, whose block 0 repeats h_prev or r * h_prev
+    import weakref
+
+    refs = []
+    basis = GraphLaplacian.basis
+
+    def keep(self, v, k):
+        out = basis(self, v, k)
+        if v.shape[-1] == 3:  # the state's width; the input has 2 channels
+            refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(GraphLaplacian, "basis", keep)
+    lap = normalized_laplacian(knn_grid_graph(3, 4))
+    w = make_weights(33, k=3, d_x=2, d_h=3, layer_norm=True)
+    x = Tensor(np.random.default_rng(34).normal(size=(7, 2, 12, 2)), requires_grad=True)
+    y = dilated_layer_forward(w, lap, x, 2)
+    assert len(T.tape()) > 0 and len(refs) == 2 * 3
+    assert all(ref() is None for ref in refs)
+    got = T.backward(T._reduce_sum(T.tanh(y)))
+    assert got[x].shape == x.shape
+
+
+def _zero_started_scan(w, lap, inputs, s):
+    """The block scan of dilated_layer_forward, with its first block started
+    from an explicit zeros tensor: every step computes its state's bases."""
+    cell = FoldedCell(w)
+    steps = inputs.shape[0]
+    out = np.empty(inputs.shape[:-1] + (w.d_h,))
+    xw = cell.input_side(lap, inputs)
+    h = Tensor(np.zeros(out[:s].shape))
+    blocks = []
+    for lo in range(0, steps, s):
+        hi = min(lo + s, steps)
+        if hi - lo < h.shape[0]:
+            h = T.select_step(h, slice(0, hi - lo))
+        h = cell.step(lap, xw, h, slice(lo, hi), out[lo:hi], lo)
+        blocks.append(h)
+    return T.concat_steps(blocks, out)
+
+
+@pytest.mark.parametrize("operator", ["dense", "ell"])
+@pytest.mark.parametrize("layer_norm", [False, True])
+def test_no_start_state_equals_an_explicit_zero_state_bytes(operator, layer_norm):
+    g = path_graph(6) if operator == "dense" else knn_grid_graph(10, 10)
+    lap = normalized_laplacian(g)
+    w = make_weights(35, k=3, layer_norm=layer_norm)
+    rng = np.random.default_rng(36)
+    _randomize_biases(w, rng)
+    for s in (1, 2, 3, 4):
+        for j in (1, s, s + 1, 2 * s + 1, 9):
+            x = Tensor(rng.normal(size=(j, 2, g.n, 2)), requires_grad=True)
+            leaves = [x] + w.params()
+            y, grads = _outputs_and_grads(lambda: dilated_layer_forward(w, lap, x, s), leaves)
+            y_ref, g_ref = _outputs_and_grads(lambda: _zero_started_scan(w, lap, x, s), leaves)
+            assert y.tobytes() == y_ref.tobytes(), (s, j)
+            for a, b in zip(grads, g_ref):
+                assert a.tobytes() == b.tobytes(), (s, j)
 
 
 def _composite_step(w, mats, lap, x_t, h_prev):

@@ -248,3 +248,19 @@ def test_unpool_rejects_supernodes_wider_than_the_slots():
     strategy = init_unpool(np.random.default_rng(27), "ordered_deconv", 2)
     with pytest.raises(PartitionError):
         unpool(Tensor(np.ones((1, 2))), pm, strategy, 1, 0)
+
+
+def test_pooling_reads_the_member_tables_the_partition_map_built(monkeypatch):
+    # a pool builds no member table, and gives the bytes of a reduction that
+    # builds its own
+    pm = multilevel_partition(random_graph(np.random.default_rng(28), 12, density=0.4), 2)
+    x = leaf((3, 12, 2), seed=29)
+    modes = ("max", "mean")
+    want = [T.segment_reduce(x, pm.parents[0], mode).data.tobytes() for mode in modes]
+    calls = []
+    table = T.member_table
+    monkeypatch.setattr(T, "member_table", lambda *a: calls.append(1) or table(*a))
+    for mode, data in zip(modes, want):
+        assert g_pooling(x, pm, mode, 0, 1).data.tobytes() == data
+        assert g_pooling(x, pm, mode).shape == (3, pm.graphs[2].n, 2)
+    assert calls == []
