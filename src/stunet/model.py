@@ -4,9 +4,12 @@ The encoder runs a stack of GCGRU layers whose temporal dilation multiplies
 by s at each stage and which pool one spatial level after each of the first
 p stages. The decoder side mirrors it: unpool, concatenate the same-stage
 encoder sequence, reconcile channels with a linear map, and run an undilated
-GCGRU. A plain seq2seq decoder rolls out the horizon from the final state,
-with a Chebyshev-convolution readout per step. With p=0 and s=1 the network
-degenerates to a plain stacked-GCGRU seq2seq and is built as exactly that.
+GCGRU. The concatenation is built in place: the encoder sequence is copied
+into one array first, and the unpool writes its result beside it, so under
+no_grad neither is held next to a copy of itself. A plain seq2seq decoder
+rolls out the horizon from the final state, with a Chebyshev-convolution
+readout per step. With p=0 and s=1 the network degenerates to a plain
+stacked-GCGRU seq2seq and is built as exactly that.
 
 A checkpoint stores the config, every tensor and, since version 2, the
 partition and λmax of the training graph under its fingerprint, so a load on
@@ -264,9 +267,7 @@ class STUNet:
         # each output is dropped once its skip has used it: under no_grad that frees it
         x = enc_outs.pop()
         for k in reversed(range(len(self.up_layers))):  # none in the plain stack
-            if k < cfg.p:
-                x = unpool(x, self.pm, self.unpools[k], from_level=k + 1, to_level=k)
-            x = T.concat_channels(x, enc_outs.pop())  # encoder channels last
+            x = self._skip_join(k, x, enc_outs.pop())
             x = T.matmul(x, self.up_fuse[k])
             x = dilated_layer_forward(self.up_layers[k], self._lap_at_stage(k), x, 1)
         conv = cheb_filter(self.readout_k, self.laps[0])  # one kernel fold per forward
@@ -281,6 +282,21 @@ class STUNet:
             targets=targets,
             teacher=teacher,
         )
+
+    def _skip_join(self, k: int, x: Tensor, skip: Tensor) -> Tensor:
+        """Up stage k's input ``x``, unpooled when k < p, joined with the
+        encoder output ``skip`` (channels last) in one array built in place.
+        The skip moves in first, so under no_grad its own array is freed before
+        the unpool writes the left-hand channels."""
+        c = x.data.shape[-1]
+        join = np.empty(skip.data.shape[:-1] + (c + skip.data.shape[-1],))
+        T.move_into(skip, join[..., c:])
+        if k < self.config.p:
+            x = unpool(x, self.pm, self.unpools[k], from_level=k + 1, to_level=k,
+                       out=join[..., :c])
+        else:
+            T.move_into(x, join[..., :c])
+        return T.concat_channels(x, skip, out=join)
 
     def trainable_params(self) -> list:
         return self.params.trainable()

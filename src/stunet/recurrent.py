@@ -207,11 +207,17 @@ class FoldedCell:
         if w.ln_gain is not None:
             parents += (w.ln_gain, w.ln_bias)
         keep = not zero and T.records(parents)
+        # a recorded step keeps blocks 1..K-1 of each basis (block 0 is an
+        # array the pullback holds or rebuilds); a basis is freed once its
+        # product has run
         if zero:
             zr = np.add(xs[..., : 2 * d], b[: 2 * d])
+            bh_tail = br_tail = None
         else:
             bh = lap.basis(hp, k)
             zr = T.flat_matmul(bh, uzr)
+            bh_tail = bh[..., d:].copy() if keep else None
+            del bh
             np.add(xs[..., : 2 * d], zr, out=zr)
             zr += b[: 2 * d]
         _check_finite(zr, "update/reset gate", t)
@@ -222,13 +228,12 @@ class FoldedCell:
         else:
             br = lap.basis(r * hp, k)
             c = T.flat_matmul(br, uh)
+            br_tail = br[..., d:].copy() if keep else None
+            del br
             np.add(xs[..., 2 * d :], c, out=c)
             c += b[2 * d :]
         _check_finite(c, "candidate", t)
         np.tanh(c, out=c)
-        # block 0 of each basis is an array the pullback holds or rebuilds
-        bh_tail = bh[..., d:].copy() if keep else None
-        br_tail = br[..., d:].copy() if keep else None
         ln = w.ln_gain is not None
         h = np.subtract(hp, c, out=None if ln else out)
         h *= z

@@ -100,6 +100,7 @@ def unpool(
     strategy: UnpoolStrategy,
     from_level: int | None = None,
     to_level: int = 0,
+    out: np.ndarray | None = None,
 ) -> Tensor:
     """Unpool level by level from ``from_level`` (default coarsest) down to
     ``to_level``, reusing the same strategy weights at every level.
@@ -107,7 +108,9 @@ def unpool(
     Each level lifts node extent graphs[k+1].n to graphs[k].n: every finer
     node gathers its supernode's row; the learned modes gather row
     ``parent * MAX_GROUP + slot`` of the coarse rows times all slot matrices,
-    read as MAX_GROUP rows per supernode.
+    read as MAX_GROUP rows per supernode. The last level's gather (its mixing
+    product, for weighted_deconv) writes into ``out`` when given, such as the
+    left-hand channels of a skip join.
     """
     if from_level is None:
         from_level = pm.levels
@@ -118,18 +121,24 @@ def unpool(
     for k in range(from_level - 1, to_level - 1, -1):
         _check_nodes(x, pm.graphs[k + 1].n)
         parent = pm.parents[k]
+        dest = out if k == to_level else None
         if strategy.mode == "direct_copy":
-            x = T.gather_rows(x, parent)
+            x = T.gather_rows(x, parent, dest)
             continue
         slot = pm.slots[k]
         if pm.tables[k][0].shape[1] > MAX_GROUP:  # the widest supernode
             raise PartitionError(f"level {k} has a supernode of over {MAX_GROUP} members")
         slotted = T.matmul(x, T.concat_channels(*strategy.slot_w))
         slotted = T.reshape(slotted, x.data.shape[:-2] + (MAX_GROUP * x.data.shape[-2], -1))
+        if strategy.mode == "ordered_deconv":
+            x = T.gather_rows(slotted, parent * MAX_GROUP + slot, dest)
+            continue
+        # each array is dropped once read, so under no_grad it is freed
         x = T.gather_rows(slotted, parent * MAX_GROUP + slot)
-        if strategy.mode == "weighted_deconv":
-            wide = np.broadcast_to(pm.member_stats[k], x.data.shape[:-1] + (STRUCT_FEATURES,))
-            x = T.matmul(T.concat_channels(x, Tensor(np.ascontiguousarray(wide))), strategy.mix_w)
+        del slotted
+        wide = np.broadcast_to(pm.member_stats[k], x.data.shape[:-1] + (STRUCT_FEATURES,))
+        x = T.concat_channels(x, Tensor(np.ascontiguousarray(wide)))
+        x = T.matmul_into(x, strategy.mix_w, dest)
     return x
 
 

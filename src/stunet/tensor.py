@@ -348,15 +348,25 @@ def tanh(x: Tensor) -> Tensor:
     return apply_op(y, (x,), lambda g: (g * (1.0 - y * y),))
 
 
-def flat_matmul(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    """ad (..., m, k) @ bd (k, n) as one flattened product."""
-    lead = ad.shape[:-1]
-    return (ad.reshape(-1, ad.shape[-1]) @ bd).reshape(lead + (bd.shape[-1],))
+def flat_matmul(ad: np.ndarray, bd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ad (..., m, k) @ bd (k, n) as one flattened product, written into
+    ``out`` when given (a strided view is written through, never copied)."""
+    flat = ad.reshape(-1, ad.shape[-1])
+    if out is None:
+        return (flat @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
+    np.matmul(flat, bd, out=_rows_of(out))
+    return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product of ``a`` (..., m, k) with the matrix ``b`` (k, n), computed as
     one product over the flattened leading axes of ``a``."""
+    return matmul_into(a, b, None)
+
+
+def matmul_into(a: Tensor, b: Tensor, out: np.ndarray | None) -> Tensor:
+    """``matmul``, written into ``out`` of shape (..., m, n) when given, which
+    may be a block of channels of a larger array."""
     if a.data.ndim < 2 or b.data.ndim != 2:
         raise DimensionError(
             f"matmul needs a rank >= 2 left and a rank-2 right operand, got "
@@ -373,17 +383,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return ga, gb
 
-    return apply_op(flat_matmul(ad, bd), (a, b), pull)
+    _check_out(out, ad.shape[:-1] + bd.shape[-1:], "matmul")
+    return apply_op(flat_matmul(ad, bd, out), (a, b), pull)
 
 
-def concat_channels(*xs: Tensor) -> Tensor:
-    """Concatenate along the last (channel) axis; leading extents must agree."""
+def _check_out(out: np.ndarray | None, shape: tuple, op: str) -> None:
+    if out is not None and out.shape != shape:
+        raise DimensionError(f"{op}: out has shape {out.shape}, the result {shape}")
+
+
+def _rows_of(out: np.ndarray) -> np.ndarray:
+    """``out`` (..., c) read as (rows, c) in place: a block of channels of a
+    C-contiguous array always can be, and any other is refused."""
+    rows = out.reshape(-1, out.shape[-1])
+    if rows.size and not np.may_share_memory(rows, out):
+        raise DimensionError(f"out of strides {out.strides} cannot be read as rows in place")
+    return rows
+
+
+def concat_channels(*xs: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """Concatenate along the last (channel) axis; leading extents must agree.
+
+    ``out``, when given, is the joined array whose consecutive channel blocks
+    the parts already are; it is returned as is, without a copy.
+    """
     lead = [x.data.shape[:-1] for x in xs]
     if len(set(lead)) != 1:
         raise DimensionError(f"concat_channels: leading extents {lead} differ")
     ends = list(accumulate(x.data.shape[-1] for x in xs))[:-1]
-    out = np.concatenate([x.data for x in xs], axis=-1)
+    if out is None:
+        out = np.concatenate([x.data for x in xs], axis=-1)
     return apply_op(out, xs, lambda g: tuple(np.split(g, ends, axis=-1)))
+
+
+def move_into(x: Tensor, out: np.ndarray) -> None:
+    """Copy ``x`` into ``out`` and make ``out`` its data, so the array it held
+    is freed once nothing else holds it (under no_grad, nothing does). The
+    tape keeps no op output, only its shape, so to the tape ``x`` stays the
+    same tensor."""
+    _check_out(out, x.data.shape, "move_into")
+    out[...] = x.data
+    x.data = out
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
@@ -428,14 +468,31 @@ def concat_steps(blocks: list[Tensor], out: np.ndarray | None = None) -> Tensor:
     return apply_op(out, tuple(blocks), lambda g: tuple(np.split(g, ends)))
 
 
-def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
-    """Gather rows along the node axis (second to last). The backward folds
-    each source row's gradient rows in gather order, as ``segment_reduce``
-    folds members; a source row never gathered gets a zero gradient."""
+# a gather into a given array takes blocks of leading rows of about this many
+# elements (512 KB), each into a new array copied out: np.take writes a strided
+# ``out`` more slowly, through a buffer as large as all it writes
+_GATHER_ELEMS = 1 << 16
+
+
+def gather_rows(x: Tensor, index: np.ndarray, out: np.ndarray | None = None) -> Tensor:
+    """Gather rows along the node axis (second to last), into ``out`` when
+    given. The backward folds each source row's gradient rows in gather
+    order, as ``segment_reduce`` folds members; a source row never gathered
+    gets a zero gradient."""
     index = np.asarray(index, dtype=np.int64)
     if x.data.ndim < 2:
         raise DimensionError("gather_rows requires rank >= 2 input")
     shape = x.data.shape
+    if out is None:
+        out = np.take(x.data, index, axis=-2)
+    else:
+        result = shape[:-2] + (index.size, shape[-1])
+        _check_out(out, result, "gather_rows")
+        src = x.data.reshape((-1,) + shape[-2:])
+        dst = _rows_of(out).reshape((-1,) + result[-2:])
+        step = max(1, _GATHER_ELEMS // max(1, index.size * shape[-1]))
+        for b in range(0, src.shape[0], step):
+            dst[b : b + step] = np.take(src[b : b + step], index, axis=1)
 
     def pull(g):
         used, group = np.unique(index, return_inverse=True)
@@ -443,7 +500,7 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
         z[..., used, :] = _fold_members(g, *member_table(group, index.size), np.add, 0.0)
         return (z,)
 
-    return apply_op(np.take(x.data, index, axis=-2), (x,), pull)
+    return apply_op(out, (x,), pull)
 
 
 def member_table(parent, n: int, n_super: int | None = None):

@@ -563,3 +563,29 @@ def test_a_recorded_forward_keeps_only_what_its_pullbacks_read(monkeypatch):
     assert len(T.tape()) == 0
     # what is left is small objects the interpreter keeps on its free lists
     assert after < recorded / 100, (recorded, after)
+
+
+@pytest.mark.parametrize("mode, bound", [("direct_copy", 3.8), ("ordered_deconv", 3.8),
+                                         ("weighted_deconv", 5.0)])
+def test_a_no_grad_forward_builds_each_skip_join_in_place(mode, bound):
+    # the traced peak above the start, in units of one sequence-sized array
+    # (J * W * N * d_h float64s): the join is built in place, so the unpooled
+    # copy and the encoder output are never live next to it (4.25 and 5.72
+    # units when they were)
+    import tracemalloc
+
+    cfg = STUNetConfig(k=3, p=2, s=2, hidden_sizes=(32, 32, 32), j=12, h=3, unpool_mode=mode)
+    g = knn_grid_graph(12, 12)
+    net = build(cfg, g)
+    x = Tensor(np.random.default_rng(4).normal(size=(12, 8, g.n, 1)))
+    with T.no_grad():
+        net.forward(x)  # first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    units = peak / (12 * 8 * g.n * 32 * 8)
+    assert units <= bound, units

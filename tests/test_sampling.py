@@ -1,5 +1,7 @@
 """Spatial pooling over partitions and the three unpooling strategies."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,42 @@ def test_unpool_one_matches_slot_loop_reference(mode):
                     for a, b in zip(got_grads, want_grads):
                         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
     assert singletons > 0
+
+
+@pytest.mark.parametrize("mode", UNPOOL_MODES)
+@pytest.mark.parametrize("recorded", [True, False])
+def test_unpool_into_a_join_equals_concat_of_unpool(mode, recorded):
+    # the U model's skip join built in place: the skip moves into the
+    # right-hand channels, the last unpool level writes the left-hand ones
+    rng = np.random.default_rng(30)
+    pm = multilevel_partition(random_graph(rng, 14, density=0.3), 2)
+    strategy = init_unpool(rng, mode, 4)
+    xd = rng.normal(size=(3, pm.graphs[2].n, 4))
+    skip_d = rng.normal(size=(3, pm.graphs[0].n, 2))
+    g = rng.normal(size=(3, pm.graphs[0].n, 6))
+
+    def run(in_place):
+        T.reset_tape()
+        x, skip = Tensor(xd, requires_grad=True), Tensor(skip_d, requires_grad=True)
+        params = [x, skip] + strategy.params()
+        if in_place:
+            join = np.empty((3, pm.graphs[0].n, 6))
+            T.move_into(skip, join[..., 4:])
+            up = unpool(x, pm, strategy, out=join[..., :4])
+            assert np.shares_memory(up.data, join)
+            y = T.concat_channels(up, skip, out=join)
+        else:
+            y = T.concat_channels(unpool(x, pm, strategy), skip)
+        grads = T.grads(T._reduce_sum(T.mul_const(y, g)), params) if recorded else []
+        return y.data.tobytes(), grads
+
+    with contextlib.nullcontext() if recorded else T.no_grad():
+        want, want_grads = run(False)
+        got, got_grads = run(True)
+    assert got == want
+    assert [a.tobytes() for a in got_grads] == [b.tobytes() for b in want_grads]
+    with pytest.raises(DimensionError):
+        unpool(Tensor(xd), pm, strategy, out=np.empty((3, pm.graphs[0].n, 5)))
 
 
 def test_unpool_rejects_supernodes_wider_than_the_slots():

@@ -216,6 +216,82 @@ def test_concat_channels_keeps_operand_order():
         T.concat_channels(up, Tensor(np.ones((3, 3))))
 
 
+def _channel_join(shape, c):
+    """A (..., c + extra) join array and its left-hand channels as a view."""
+    join = np.full(shape, np.nan)
+    return join, join[..., :c]
+
+
+def test_gather_rows_into_a_view_has_the_bytes_of_a_new_array(monkeypatch):
+    # blocks of leading rows: one, several (with a short last block), and
+    # one block per row
+    rng = np.random.default_rng(51)
+    index = np.array([3, 0, 3, 1, 2])
+    x = Tensor(rng.normal(size=(7, 4, 3)), requires_grad=True)
+    g = rng.normal(size=(7, 5, 3))
+    want = T.gather_rows(x, index)
+    want_grad = T.backward(T._reduce_sum(T.mul_const(want, g)))[x]
+    for elems in (1 << 16, 40, 1):
+        monkeypatch.setattr(T, "_GATHER_ELEMS", elems)
+        join, view = _channel_join((7, 5, 5), 3)
+        got = T.gather_rows(x, index, view)
+        assert got.data is view and np.shares_memory(got.data, join)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.isnan(join[..., 3:]).all()  # the other channels stay untouched
+        assert T.backward(T._reduce_sum(T.mul_const(got, g)))[x].tobytes() == want_grad.tobytes()
+    with pytest.raises(DimensionError):
+        T.gather_rows(x, index, np.empty((7, 4, 3)))
+
+
+def test_matmul_into_a_view_has_the_bytes_of_matmul():
+    rng = np.random.default_rng(52)
+    a = Tensor(rng.normal(size=(3, 9, 35)), requires_grad=True)
+    b = Tensor(rng.normal(size=(35, 32)), requires_grad=True)
+    g = rng.normal(size=(3, 9, 32))
+    want = T.matmul(a, b)
+    want_grads = T.grads(T._reduce_sum(T.mul_const(want, g)), [a, b])
+    join, view = _channel_join((3, 9, 40), 32)
+    got = T.matmul_into(a, b, view)
+    assert got.data is view and got.data.tobytes() == want.data.tobytes()
+    assert np.isnan(join[..., 32:]).all()
+    for x, y in zip(T.grads(T._reduce_sum(T.mul_const(got, g)), [a, b]), want_grads):
+        assert x.tobytes() == y.tobytes()
+    with pytest.raises(DimensionError):
+        T.matmul_into(a, b, np.empty((3, 9, 31)))
+    with pytest.raises(DimensionError):  # its rows are no view of it: a product would be lost
+        T.matmul_into(a, b, np.empty((3, 12, 32))[:, :9])
+
+
+def test_a_join_built_in_place_equals_concat_channels():
+    # the skip moves into the right-hand channels, a gather writes the
+    # left-hand ones, and the join records the parts where they already are
+    rng = np.random.default_rng(53)
+    up_d, skip_d = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 2))
+    g = rng.normal(size=(2, 4, 5))
+    index = np.array([1, 1, 0, 3])
+
+    def run(in_place):
+        T.reset_tape()
+        leaves = [Tensor(up_d, requires_grad=True), Tensor(skip_d, requires_grad=True)]
+        skip = T.tanh(leaves[1])
+        if in_place:
+            join = np.empty((2, 4, 5))
+            T.move_into(skip, join[..., 3:])
+            assert np.shares_memory(skip.data, join)
+            y = T.concat_channels(T.gather_rows(leaves[0], index, join[..., :3]), skip, out=join)
+            assert y.data is join
+        else:
+            y = T.concat_channels(T.gather_rows(leaves[0], index), skip)
+        return y.data.tobytes(), T.grads(T._reduce_sum(T.mul_const(y, g)), leaves)
+
+    want, want_grads = run(False)
+    got, got_grads = run(True)
+    assert got == want
+    assert [v.tobytes() for v in got_grads] == [v.tobytes() for v in want_grads]
+    with pytest.raises(DimensionError):
+        T.move_into(Tensor(skip_d), np.empty((2, 4, 3)))
+
+
 def test_glorot_from_is_seeded_and_scaled():
     a = T.glorot_from(np.random.default_rng(9), (40, 30))
     b = T.glorot_from(np.random.default_rng(9), (40, 30))
