@@ -178,11 +178,9 @@ def cmd_predict(args) -> int:
         raise UsageError(
             f"recent window must have exactly {cfg.j} rows, got {window.shape[0]}"
         )
-    mean = model.norm_mean.data
-    std = model.norm_std.data
     from .training import predict_windows  # a call-time lookup, so a tracer can wrap it
 
-    pred = predict_windows(model, ((window - mean) / std)[None])[0] * std + mean
+    pred = model.denormalize(predict_windows(model, model.normalize(window)[None])[0])
     out_path = rc.out_dir or "forecast.csv"
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     save_series(out_path, pred)

@@ -93,6 +93,8 @@ def make_windows(ds: TimeSeriesDataset, wc: WindowConfig, split: str):
     """Stride-1 sliding (input, target) windows over one split.
 
     Returns (inputs (W, J, N, D), targets (W, H, N, D)); W = T_split - J - H + 1.
+    Both are read-only strided views of the dataset's series: no window is
+    copied.
     """
     rows = ds.split_series(split)
     count = rows.shape[0] - wc.j - wc.h + 1
@@ -100,17 +102,18 @@ def make_windows(ds: TimeSeriesDataset, wc: WindowConfig, split: str):
         raise DataError(
             f"split {split!r} has {rows.shape[0]} rows; needs >= {wc.j + wc.h}"
         )
-    inputs = np.stack([rows[i : i + wc.j] for i in range(count)])
-    targets = np.stack([rows[i + wc.j : i + wc.j + wc.h] for i in range(count)])
-    return inputs, targets
+    view = np.lib.stride_tricks.sliding_window_view  # window axis last, read-only
+    inputs = view(rows[: count + wc.j - 1], wc.j, axis=0)
+    targets = view(rows[wc.j :], wc.h, axis=0)
+    return np.moveaxis(inputs, -1, 1), np.moveaxis(targets, -1, 1)
 
 
 class Normalizer:
-    """Per-feature z-score fitted on the training split (population variance)."""
+    """Per-feature z-score statistics of the training split (population
+    variance), which a model keeps in its ``norm`` buffers and applies."""
 
-    def __init__(self):
-        self.mean: np.ndarray | None = None
-        self.std: np.ndarray | None = None
+    mean: np.ndarray | None = None
+    std: np.ndarray | None = None
 
     def fit(self, rows: np.ndarray) -> "Normalizer":
         rows = np.asarray(rows, dtype=np.float64)
@@ -124,18 +127,6 @@ class Normalizer:
             std = np.where(flat, 1.0, std)
         self.std = std
         return self
-
-    def _check(self) -> None:
-        if self.mean is None:
-            raise UsageError("normalizer used before fit")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        self._check()
-        return (x - self.mean) / self.std
-
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        self._check()
-        return x * self.std + self.mean
 
 
 # -- file ingestion ----------------------------------------------------------

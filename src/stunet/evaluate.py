@@ -196,15 +196,14 @@ def model_predictions(model: STUNet, ds: TimeSeriesDataset, batch_size: int = 50
                       split: str = "test"):
     """(predictions, targets) for the split's windows, both in original scale.
 
-    Inputs are normalized with the statistics stored in the model's buffers,
-    and predictions are mapped back before any metric sees them.
+    The model scales the series once with the statistics in its buffers, the
+    inputs are windows of that copy, and predictions are mapped back before
+    any metric sees them.
     """
-    mean = model.norm_mean.data
-    std = model.norm_std.data
     wc = WindowConfig(model.config.j, model.config.h)
-    inputs, targets = make_windows(ds, wc, split)
-    pred = predict_windows(model, (inputs - mean) / std, batch_size)
-    return pred * std + mean, targets
+    _, targets = make_windows(ds, wc, split)
+    inputs, _ = make_windows(replace(ds, series=model.normalize(ds.series)), wc, split)
+    return model.denormalize(predict_windows(model, inputs, batch_size)), targets
 
 
 def evaluate_model(model: STUNet, ds: TimeSeriesDataset, steps=None,
@@ -223,7 +222,7 @@ def _commit_id() -> str:
         )
         if out.returncode == 0 and out.stdout.strip():
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or past its timeout
         pass
     return "unknown"
 

@@ -33,16 +33,13 @@ from .spectral import (  # noqa: F401  (the spectral oracles are re-exported)
     jacobi_eigh,
     spectral_conv_oracle,
 )
-from .tensor import Tensor, apply_op
+from .tensor import _GATHER_ELEMS, Tensor, apply_op
 
 _SYM_TOL = 1e-8
 # the sparse operator is used when the widest row times this is below n
 _ELL_WIDTH_RATIO = 16
 # neighbour slots gathered at once, so no temporary exceeds 8 activations
 _ELL_CHUNK = 8
-# leading rows are gathered in blocks of about this many elements (512 KB),
-# so the gathered block is still in cache when it is reduced
-_GATHER_ELEMS = 1 << 16
 # lambda_max by a dense eigensolve up to this many nodes, the bound 2.0 above
 _EIGVALSH_MAX_N = 2000
 

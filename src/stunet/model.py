@@ -298,6 +298,19 @@ class STUNet:
             T.move_into(x, join[..., :c])
         return T.concat_channels(x, skip, out=join)
 
+    def normalize(self, x: np.ndarray) -> np.ndarray:
+        """Original-scale values (..., D_in) as the model reads them, scaled by
+        its ``norm.mean``/``norm.std`` buffers, in a new array."""
+        out = x - self.norm_mean.data
+        out /= self.norm_std.data
+        return out
+
+    def denormalize(self, y: np.ndarray) -> np.ndarray:
+        """Model outputs mapped back to the original scale, in a new array."""
+        out = y * self.norm_std.data
+        out += self.norm_mean.data
+        return out
+
     def trainable_params(self) -> list:
         return self.params.trainable()
 
@@ -423,7 +436,9 @@ def _read_graph_block(fh, path: str, config: STUNetConfig) -> tuple:
 def load_checkpoint(path: str, graph: Graph) -> STUNet:
     """Restore a model on ``graph`` from the stored config and tensors. A
     version 2 file whose graph fingerprint matches ``graph`` supplies the
-    partition and λmax; a version 1 file or another graph derives them again."""
+    partition and λmax; a version 1 file or another graph derives them again.
+    A tensor holding NaN or inf, or a ``norm.std`` not above 0, is an error
+    naming it."""
     with open(path, "rb") as f:
         raw = f.read()
     fh = io.BytesIO(raw)  # a corrupt extent cannot ask for more than the file holds
@@ -437,7 +452,12 @@ def load_checkpoint(path: str, graph: Graph) -> STUNet:
         (rank,) = _unpack(fh, "<I", path, f"tensor {name}")
         shape = _unpack(fh, f"<{rank}I", path, f"tensor {name}")
         data = _read_exact(fh, 8 * math.prod(shape), path, f"tensor {name}")
-        stored.append((name, np.frombuffer(data, dtype="<f8").reshape(shape)))
+        tensor = np.frombuffer(data, dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(tensor)):
+            raise CheckpointError(f"{path}: tensor {name} holds NaN or inf")
+        if name == "norm.std" and not np.all(tensor > 0):
+            raise CheckpointError(f"{path}: tensor {name} holds a scale that is not above 0")
+        stored.append((name, tensor))
     derived = None
     if version > 1:
         fingerprint, parents, lambdas = _read_graph_block(fh, path, config)

@@ -194,7 +194,7 @@ def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
     """
     data = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(data)):
-        raise NumericError("forward operation produced non-finite values")
+        raise NumericError(f"{_op_name(pullback)}: forward operation produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.tape_id = None
@@ -224,11 +224,15 @@ def _tape_entry(parent: Tensor, nodes: list, pullback):
         return parent
     if tid < len(nodes) and nodes[tid].out.ref() is parent:
         return nodes[tid].out
-    op = getattr(pullback, "__qualname__", "op").split(".<locals>")[0]
     raise UsageError(
-        f"{op}: an input was recorded on another thread's tape, or on a tape "
-        "since reset or consumed by backward"
+        f"{_op_name(pullback)}: an input was recorded on another thread's tape, "
+        "or on a tape since reset or consumed by backward"
     )
+
+
+def _op_name(pullback) -> str:
+    """The op a pullback belongs to: the function that defines it."""
+    return getattr(pullback, "__qualname__", "op").split(".<locals>")[0]
 
 
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
@@ -350,11 +354,11 @@ def tanh(x: Tensor) -> Tensor:
 
 def flat_matmul(ad: np.ndarray, bd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """ad (..., m, k) @ bd (k, n) as one flattened product, written into
-    ``out`` when given (a strided view is written through, never copied)."""
-    flat = ad.reshape(-1, ad.shape[-1])
+    ``out`` when given (a strided view is written through, never copied),
+    else into a new array."""
     if out is None:
-        return (flat @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
-    np.matmul(flat, bd, out=_rows_of(out))
+        out = np.empty(ad.shape[:-1] + bd.shape[-1:])
+    np.matmul(ad.reshape(-1, ad.shape[-1]), bd, out=_rows_of(out))
     return out
 
 
@@ -468,31 +472,31 @@ def concat_steps(blocks: list[Tensor], out: np.ndarray | None = None) -> Tensor:
     return apply_op(out, tuple(blocks), lambda g: tuple(np.split(g, ends)))
 
 
-# a gather into a given array takes blocks of leading rows of about this many
-# elements (512 KB), each into a new array copied out: np.take writes a strided
-# ``out`` more slowly, through a buffer as large as all it writes
+# gathers take blocks of leading rows of about this many elements (512 KB), so
+# each block is still in cache when it is copied out (np.take buffers a whole
+# strided ``out``) or, in the sparse Laplacian product, reduced
 _GATHER_ELEMS = 1 << 16
 
 
 def gather_rows(x: Tensor, index: np.ndarray, out: np.ndarray | None = None) -> Tensor:
     """Gather rows along the node axis (second to last), into ``out`` when
-    given. The backward folds each source row's gradient rows in gather
-    order, as ``segment_reduce`` folds members; a source row never gathered
-    gets a zero gradient."""
+    given, else into a new array. The backward folds each source row's
+    gradient rows in gather order, as ``segment_reduce`` folds members; a
+    source row never gathered gets a zero gradient."""
     index = np.asarray(index, dtype=np.int64)
     if x.data.ndim < 2:
         raise DimensionError("gather_rows requires rank >= 2 input")
     shape = x.data.shape
+    result = shape[:-2] + (index.size, shape[-1])
     if out is None:
-        out = np.take(x.data, index, axis=-2)
-    else:
-        result = shape[:-2] + (index.size, shape[-1])
-        _check_out(out, result, "gather_rows")
-        src = x.data.reshape((-1,) + shape[-2:])
-        dst = _rows_of(out).reshape((-1,) + result[-2:])
-        step = max(1, _GATHER_ELEMS // max(1, index.size * shape[-1]))
-        for b in range(0, src.shape[0], step):
-            dst[b : b + step] = np.take(src[b : b + step], index, axis=1)
+        out = np.empty(result)
+    _check_out(out, result, "gather_rows")
+    lead = (int(np.prod(shape[:-2])),)
+    src = x.data.reshape(lead + shape[-2:])
+    dst = _rows_of(out).reshape(lead + result[-2:])
+    step = max(1, _GATHER_ELEMS // max(1, index.size * shape[-1]))
+    for b in range(0, src.shape[0], step):
+        dst[b : b + step] = np.take(src[b : b + step], index, axis=1)
 
     def pull(g):
         used, group = np.unique(index, return_inverse=True)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -172,7 +172,8 @@ def _batch_forecasts(model: STUNet, inputs: np.ndarray, batch_size: int) -> list
         raise DimensionError(f"windows must be a (W, J, N, D) array, got shape {np.shape(inputs)}")
     if inputs.shape[0] == 0:
         raise UsageError("no windows to forecast")
-    _check_batch_size(batch_size)
+    if batch_size < 1:
+        raise UsageError(f"batch size must be >= 1, got {batch_size}")
     out = []
     for lo in range(0, inputs.shape[0], batch_size):
         batch = inputs[lo : lo + batch_size]
@@ -198,7 +199,8 @@ def _in_threads(fn, jobs: list) -> list:
 
 
 def predict_windows(model: STUNet, inputs: np.ndarray, batch_size: int = 50) -> np.ndarray:
-    """Forward normalized windows (W, J, N, D) -> (W, H, N, D), no recording."""
+    """Forward windows (W, J, N, D) scaled by ``model.normalize`` -> (W, H, N, D)
+    in that scale, no recording."""
     preds = _batch_forecasts(model, inputs, batch_size)
     return np.concatenate([np.transpose(p, (1, 0, 2, 3)) for p in preds], axis=0)
 
@@ -211,11 +213,6 @@ def dataset_loss(model: STUNet, inputs: np.ndarray, targets: np.ndarray,
         yb = _to_time_major(targets[i * batch_size : (i + 1) * batch_size])
         total += loss(Tensor(pred), Tensor(yb)).item() * pred.shape[1]
     return total / inputs.shape[0]
-
-
-def _check_batch_size(batch_size: int) -> None:
-    if batch_size < 1:
-        raise UsageError(f"batch size must be >= 1, got {batch_size}")
 
 
 def _micro_batch_grads(model: STUNet, params: list, xb: Tensor, yb: Tensor,
@@ -251,15 +248,6 @@ def batch_grads(model: STUNet, params: list, inputs: np.ndarray, targets: np.nda
     return total, grads
 
 
-def normalized_copy(ds: TimeSeriesDataset, norm: Normalizer) -> TimeSeriesDataset:
-    return TimeSeriesDataset(
-        series=norm.apply(ds.series),
-        graph=ds.graph,
-        splits=ds.splits,
-        interval_minutes=ds.interval_minutes,
-    )
-
-
 def train_model(rc: RunConfig, ds: TimeSeriesDataset):
     """Train on the dataset's train split, keeping best-validation weights.
 
@@ -274,10 +262,10 @@ def train_model(rc: RunConfig, ds: TimeSeriesDataset):
     norm = Normalizer().fit(ds.split_series("train"))
     model.norm_mean.data[...] = norm.mean
     model.norm_std.data[...] = norm.std
-    normalized = normalized_copy(ds, norm)
+    scaled = replace(ds, series=model.normalize(ds.series))
     wc = WindowConfig(cfg.j, cfg.h)
-    train_in, train_tg = make_windows(normalized, wc, "train")
-    val_in, val_tg = make_windows(normalized, wc, "val")
+    train_in, train_tg = make_windows(scaled, wc, "train")
+    val_in, val_tg = make_windows(scaled, wc, "val")
 
     params = model.trainable_params()
     names = [name for name, t in model.params.entries if t.requires_grad]

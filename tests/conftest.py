@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference gradient checking and graph builders."""
+"""Shared test helpers: finite-difference gradient checking, graph builders
+and a model that holds given scaling statistics."""
 
 # the CLI's thread defaults, applied on import before NumPy loads: one thread
 # per BLAS call unless a BLAS count is set, so the package's own threads
@@ -9,6 +10,7 @@ import numpy as np
 
 from stunet import tensor as T
 from stunet.graph import Graph
+from stunet.model import STUNetConfig, build
 
 
 def numeric_grad(build, param, index, eps=1e-6):
@@ -83,3 +85,13 @@ def random_graph(rng, n, density=0.5, max_weight=5.0, ensure_edge=True):
     if ensure_edge and not edges and n >= 2:
         edges.append((0, 1, float(rng.uniform(0.1, max_weight))))
     return Graph.from_edges(n, edges)
+
+
+def scaling_model(norm, n: int):
+    """A one-layer model on an n-node path whose ``norm`` buffers hold the
+    statistics of the fitted Normalizer ``norm``."""
+    d = norm.mean.size
+    model = build(STUNetConfig(p=0, s=1, hidden_sizes=(2,), d_in=d, d_out=d), path_graph(n))
+    model.norm_mean.data[...] = norm.mean
+    model.norm_std.data[...] = norm.std
+    return model

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dense_reference as ref
-from conftest import path_graph
+from conftest import path_graph, scaling_model
 from stunet.data import (
     Normalizer,
     TimeSeriesDataset,
@@ -102,6 +102,24 @@ def test_window_counts_and_contents():
         make_windows(exact, WindowConfig(4, 1), "train")
 
 
+def test_windows_are_read_only_views_with_the_bytes_of_stacked_copies():
+    rng = np.random.default_rng(8)
+    ds = TimeSeriesDataset(series=rng.normal(size=(80, 3, 2)), graph=path_graph(3))
+    wc = WindowConfig(4, 3)
+    for split in ("train", "val", "test"):
+        rows = ds.split_series(split)
+        count = rows.shape[0] - wc.j - wc.h + 1
+        ins, tgs = make_windows(ds, wc, split)
+        want_in = np.stack([rows[i : i + wc.j] for i in range(count)])
+        want_tg = np.stack([rows[i + wc.j : i + wc.j + wc.h] for i in range(count)])
+        for got, want in ((ins, want_in), (tgs, want_tg)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+            assert np.shares_memory(got, ds.series) and not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0, 0, 0] = 1.0
+
+
 def test_normalizer_population_statistics():
     norm = Normalizer().fit(np.array([1.0, 2.0, 3.0])[:, None, None])
     assert abs(norm.mean[0] - 2.0) < 1e-15
@@ -109,19 +127,19 @@ def test_normalizer_population_statistics():
 
 
 def test_normalizer_roundtrip_and_fallback():
+    # the statistics are applied and inverted by the model that holds them
     rng = np.random.default_rng(1)
     x = rng.normal(loc=3.0, scale=2.0, size=(50, 4, 2))
-    norm = Normalizer().fit(x)
-    back = norm.invert(norm.apply(x))
-    assert np.abs(back - x).max() < 1e-12
+    model = scaling_model(Normalizer().fit(x), 4)
+    scaled = model.normalize(x)
+    assert np.abs(scaled.mean(axis=(0, 1))).max() < 1e-12
+    assert np.abs(scaled.std(axis=(0, 1)) - 1.0).max() < 1e-12
+    assert np.abs(model.denormalize(scaled) - x).max() < 1e-12
 
     const = np.full((10, 2, 1), 5.0)
     flat = Normalizer().fit(const)
     assert flat.std[0] == 1.0
-    assert np.abs(flat.apply(const)).max() == 0.0
-
-    with pytest.raises(UsageError):
-        Normalizer().apply(x)
+    assert np.abs(scaling_model(flat, 2).normalize(const)).max() == 0.0
 
 
 def test_load_adjacency_dense(tmp_path):

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import path_graph
+from conftest import path_graph, scaling_model
 from stunet import evaluate
 from stunet.data import (
     Normalizer,
@@ -109,8 +109,9 @@ def test_metrics_invariant_under_normalization_roundtrip():
     target = rng.normal(loc=5.0, size=(40, 3, 2))
     pred = target + rng.normal(size=target.shape)
     norm = Normalizer().fit(target)
-    back_p = norm.invert(norm.apply(pred))
-    back_t = norm.invert(norm.apply(target))
+    model = scaling_model(norm, 3)
+    back_p = model.denormalize(model.normalize(pred))
+    back_t = model.denormalize(model.normalize(target))
     assert abs(mae(back_p, back_t) - mae(pred, target)) < 1e-10
     assert abs(rmse(back_p, back_t) - rmse(pred, target)) < 1e-10
 
@@ -324,3 +325,11 @@ def test_commit_id_names_the_package_checkout_not_the_cwd(tmp_path, monkeypatch)
     package = os.path.dirname(evaluate.__file__)
     assert evaluate._commit_id() == git("rev-parse", "--short", "HEAD", cwd=package)
     assert evaluate._commit_id() != other
+
+
+def test_commit_id_is_unknown_when_git_runs_past_its_timeout(monkeypatch):
+    def run(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", run)
+    assert evaluate._commit_id() == "unknown"

@@ -253,6 +253,23 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(padded, g)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("enc0.w_z", np.nan, "holds NaN or inf"),
+    ("enc0.w_z", -np.inf, "holds NaN or inf"),
+    ("norm.std", np.nan, "holds NaN or inf"),
+    ("norm.std", 0.0, "not above 0"),
+    ("norm.std", -0.5, "not above 0"),
+])
+def test_checkpoint_rejects_a_bad_tensor_naming_file_and_tensor(tmp_path, name, value, message):
+    g = tiny_graph(seed=12)
+    model = build(tiny_config(), g)
+    dict(model.params.entries)[name].data.flat[0] = value
+    path = os.path.join(tmp_path, "bad.ckpt")
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(path)}: tensor {name} .*{message}"):
+        load_checkpoint(path, g)
+
+
 def test_checkpoint_rejects_version_and_shape_mismatch(tmp_path):
     import struct
 

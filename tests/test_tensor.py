@@ -124,6 +124,15 @@ def test_finite_guard_raises():
         T.add(big, big)
 
 
+def test_a_non_finite_forward_names_its_op():
+    big = Tensor(np.full((2, 2), 1e308))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="^scale: .*non-finite"):
+            T.scale(big, 10.0)
+        with pytest.raises(NumericError, match="^matmul_into: .*non-finite"):
+            T.matmul(big, Tensor(np.full((2, 3), 10.0)))
+
+
 def test_no_grad_suppresses_recording():
     with T.no_grad():
         a = leaf([1.0, 2.0])
@@ -224,21 +233,27 @@ def _channel_join(shape, c):
 
 def test_gather_rows_into_a_view_has_the_bytes_of_a_new_array(monkeypatch):
     # blocks of leading rows: one, several (with a short last block), and
-    # one block per row
+    # one block per row; a new array and a view are filled by the same blocks,
+    # so both are checked against np.take
     rng = np.random.default_rng(51)
     index = np.array([3, 0, 3, 1, 2])
     x = Tensor(rng.normal(size=(7, 4, 3)), requires_grad=True)
     g = rng.normal(size=(7, 5, 3))
-    want = T.gather_rows(x, index)
-    want_grad = T.backward(T._reduce_sum(T.mul_const(want, g)))[x]
+    want = np.take(x.data, index, axis=-2)
+    want_grad = np.zeros(x.shape)
+    np.add.at(want_grad, (slice(None), index), g)
     for elems in (1 << 16, 40, 1):
         monkeypatch.setattr(T, "_GATHER_ELEMS", elems)
         join, view = _channel_join((7, 5, 5), 3)
-        got = T.gather_rows(x, index, view)
-        assert got.data is view and np.shares_memory(got.data, join)
-        assert got.data.tobytes() == want.data.tobytes()
+        grads = []
+        for out in (None, view):
+            y = T.gather_rows(x, index, out)
+            assert y.data.tobytes() == want.tobytes()
+            grads.append(T.backward(T._reduce_sum(T.mul_const(y, g)))[x])
+        assert y.data is view and np.shares_memory(y.data, join)
         assert np.isnan(join[..., 3:]).all()  # the other channels stay untouched
-        assert T.backward(T._reduce_sum(T.mul_const(got, g)))[x].tobytes() == want_grad.tobytes()
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert np.allclose(grads[0], want_grad, rtol=0, atol=1e-12)
     with pytest.raises(DimensionError):
         T.gather_rows(x, index, np.empty((7, 4, 3)))
 

@@ -1,5 +1,7 @@
 """Training loop: schedule, determinism, best-on-validation selection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,10 @@ from stunet.tensor import Tensor
 from stunet.training import (
     RunConfig,
     dataset_loss,
-    normalized_copy,
     predict_windows,
     train_model,
 )
-from stunet.data import Normalizer, WindowConfig, make_windows
+from stunet.data import WindowConfig, make_windows
 
 
 def tiny_run(epochs=2, seed=5, **model_kw):
@@ -95,9 +96,8 @@ def test_best_validation_weights_are_restored():
     rc = tiny_run(epochs=4)
     model, history = train_model(rc, ds)
     best = min(e.val_loss for e in history)
-    norm = Normalizer().fit(ds.split_series("train"))
-    val_in, val_tg = make_windows(
-        normalized_copy(ds, norm), WindowConfig(rc.model.j, rc.model.h), "val"
+    val_in, val_tg = make_windows(  # scaled by the statistics the model holds
+        replace(ds, series=model.normalize(ds.series)), WindowConfig(rc.model.j, rc.model.h), "val"
     )
     recomputed = dataset_loss(model, val_in, val_tg, rc.batch_size)
     assert abs(recomputed - best) < 1e-12
