@@ -3,7 +3,9 @@
 A p=2 model on a 6x6 grid, built for every combination of ``unpool_mode``,
 ``pool_mode`` and ``layer_norm``, must forecast the bytes under
 ``data/unet_golden/``, give the parameter gradients of one recorded loss
-stored beside them, and write the stored checkpoint. This pins the parameter
+stored beside them, and write the stored checkpoint. The 6x6 grid takes the
+dense Laplacian product; one more case on a 10x10 grid takes the
+padded-neighbour (ELL) gather. This pins the parameter
 names and their order, the pooling and unpooling arithmetic, the channel order
 of the skip join (the encoder's channels come last) and every pullback
 against refactors that should change none of them. After a deliberate change of the
@@ -24,27 +26,29 @@ from stunet.sampling import UNPOOL_MODES
 from stunet.tensor import Tensor
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "unet_golden")
-CASES = list(itertools.product(UNPOOL_MODES, ("max", "mean"), (False, True)))
+CASES = [c + (6,) for c in itertools.product(UNPOOL_MODES, ("max", "mean"), (False, True))]
+CASES.append(("weighted_deconv", "max", True, 10))
 
 
-def _name(unpool_mode, pool_mode, layer_norm):
-    return f"{unpool_mode}-{pool_mode}-ln{int(layer_norm)}"
+def _name(unpool_mode, pool_mode, layer_norm, side):
+    grid = "" if side == 6 else f"-grid{side}"
+    return f"{unpool_mode}-{pool_mode}-ln{int(layer_norm)}{grid}"
 
 
-def _render(tmp_dir, unpool_mode, pool_mode, layer_norm):
+def _render(tmp_dir, unpool_mode, pool_mode, layer_norm, side):
     """(forecast bytes, gradient bytes, checkpoint bytes) of the case's fresh
     model; the gradients are those of every trainable parameter, in order."""
     cfg = STUNetConfig(k=2, p=2, s=2, hidden_sizes=(3, 4, 5), pool_mode=pool_mode,
                        unpool_mode=unpool_mode, layer_norm=layer_norm, j=5, h=2, seed=7)
-    model = build(cfg, knn_grid_graph(6, 6))
+    model = build(cfg, knn_grid_graph(side, side))
     model.norm_mean.data[...] = 1.25
     model.norm_std.data[...] = 0.5
-    x = np.random.default_rng(11).normal(size=(cfg.j, 2, 36, 1))
+    x = np.random.default_rng(11).normal(size=(cfg.j, 2, side * side, 1))
     T.reset_tape()
     pred = model.forward(Tensor(x))
     target = Tensor(np.random.default_rng(12).normal(size=pred.shape))
     grads = T.grads(loss(pred, target), model.trainable_params())
-    path = os.path.join(tmp_dir, _name(unpool_mode, pool_mode, layer_norm) + ".ckpt")
+    path = os.path.join(tmp_dir, _name(unpool_mode, pool_mode, layer_norm, side) + ".ckpt")
     save_checkpoint(model, path)
     with open(path, "rb") as fh:
         return pred.data.tobytes(), b"".join(g.tobytes() for g in grads), fh.read()
