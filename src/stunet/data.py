@@ -89,12 +89,14 @@ class TimeSeriesDataset:
         return self.series[lo:hi]
 
 
-def make_windows(ds: TimeSeriesDataset, wc: WindowConfig, split: str):
+def make_windows(ds: TimeSeriesDataset, wc: WindowConfig, split: str, fn=None):
     """Stride-1 sliding (input, target) windows over one split.
 
     Returns (inputs (W, J, N, D), targets (W, H, N, D)); W = T_split - J - H + 1.
-    Both are read-only strided views of the dataset's series: no window is
-    copied.
+    Both are read-only strided views of the split's rows: no window is copied.
+    ``fn``, an elementwise map such as ``STUNet.normalize``, is applied to
+    those rows first, and the windows are views of its result, which holds
+    the split's rows alone.
     """
     rows = ds.split_series(split)
     count = rows.shape[0] - wc.j - wc.h + 1
@@ -102,6 +104,8 @@ def make_windows(ds: TimeSeriesDataset, wc: WindowConfig, split: str):
         raise DataError(
             f"split {split!r} has {rows.shape[0]} rows; needs >= {wc.j + wc.h}"
         )
+    if fn is not None:
+        rows = fn(rows)
     view = np.lib.stride_tricks.sliding_window_view  # window axis last, read-only
     inputs = view(rows[: count + wc.j - 1], wc.j, axis=0)
     targets = view(rows[wc.j :], wc.h, axis=0)

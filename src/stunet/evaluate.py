@@ -196,13 +196,13 @@ def model_predictions(model: STUNet, ds: TimeSeriesDataset, batch_size: int = 50
                       split: str = "test"):
     """(predictions, targets) for the split's windows, both in original scale.
 
-    The model scales the series once with the statistics in its buffers, the
-    inputs are windows of that copy, and predictions are mapped back before
-    any metric sees them.
+    The model scales the split's rows once with the statistics in its
+    buffers, the inputs are windows of that copy, and predictions are mapped
+    back before any metric sees them.
     """
     wc = WindowConfig(model.config.j, model.config.h)
     _, targets = make_windows(ds, wc, split)
-    inputs, _ = make_windows(replace(ds, series=model.normalize(ds.series)), wc, split)
+    inputs, _ = make_windows(ds, wc, split, model.normalize)
     return model.denormalize(predict_windows(model, inputs, batch_size)), targets
 
 

@@ -185,12 +185,13 @@ class FoldedCell:
         written into ``out`` when given. ``h_prev=None`` is the zero state:
         the pre-activations are then the input side plus the biases, and the
         step computes no basis or product of the state, nor ``r * h_prev``,
-        and takes no gradient for U_z, U_r or U_h. A recorded step keeps
-        blocks 1..K-1 of its two bases; backward rebuilds block 0, which is
-        ``h_prev`` and ``r * h_prev``. A non-finite gate pre-activation raises
-        NumericError naming the gate and ``t``, the time step of the first
-        row; the checked [z|r] pre-activation then becomes the gates in place,
-        with the same ``sigmoid_array`` as ``T.sigmoid``.
+        and takes no gradient for U_z, U_r or U_h. A step keeps neither of
+        its two bases: backward rebuilds B(h_prev) and B(r * h_prev), K-1
+        Laplacian products each, from arrays it holds anyway. A non-finite
+        gate pre-activation raises NumericError naming the gate and ``t``, the
+        time step of the first row; the checked [z|r] pre-activation then
+        becomes the gates in place, with the same ``sigmoid_array`` as
+        ``T.sigmoid``.
         """
         w, d = self.w, self.w.d_h
         xs = xw.data if rows is None else xw.data[rows]
@@ -206,18 +207,10 @@ class FoldedCell:
         parents = (xw, self.b) if zero else (xw, h_prev, self.uzr, self.uh, self.b)
         if w.ln_gain is not None:
             parents += (w.ln_gain, w.ln_bias)
-        keep = not zero and T.records(parents)
-        # a recorded step keeps blocks 1..K-1 of each basis (block 0 is an
-        # array the pullback holds or rebuilds); a basis is freed once its
-        # product has run
         if zero:
             zr = np.add(xs[..., : 2 * d], b[: 2 * d])
-            bh_tail = br_tail = None
         else:
-            bh = lap.basis(hp, k)
-            zr = T.flat_matmul(bh, uzr)
-            bh_tail = bh[..., d:].copy() if keep else None
-            del bh
+            zr = T.flat_matmul(lap.basis(hp, k), uzr)
             np.add(xs[..., : 2 * d], zr, out=zr)
             zr += b[: 2 * d]
         _check_finite(zr, "update/reset gate", t)
@@ -226,10 +219,7 @@ class FoldedCell:
         if zero:
             c = np.add(xs[..., 2 * d :], b[2 * d :])
         else:
-            br = lap.basis(r * hp, k)
-            c = T.flat_matmul(br, uh)
-            br_tail = br[..., d:].copy() if keep else None
-            del br
+            c = T.flat_matmul(lap.basis(r * hp, k), uh)
             np.add(xs[..., 2 * d :], c, out=c)
             c += b[2 * d :]
         _check_finite(c, "candidate", t)
@@ -259,14 +249,13 @@ class FoldedCell:
             np.multiply(drh * hp, r * (1.0 - r), out=gx[..., d : 2 * d])
             dzr = gx[..., : 2 * d]
             dh_prev = gz + drh * r + lap.basis_transpose(T.flat_matmul(dzr, uzr.T), k)
-            # the forward's two bases, whole, so the weight gradients are its bits
-            bh = np.concatenate((hp, bh_tail), axis=-1)
-            br = np.concatenate((r * hp, br_tail), axis=-1)
+            # the forward's two bases, rebuilt by the same calls on the same
+            # arrays, so the weight gradients are its bits
             return (
                 dxw,
                 dh_prev,
-                _flat(bh).T @ _flat(dzr),
-                _flat(br).T @ _flat(dc),
+                _flat(lap.basis(hp, k)).T @ _flat(dzr),
+                _flat(lap.basis(r * hp, k)).T @ _flat(dc),
                 _flat(gx).sum(axis=0),
             ) + grads[1:]
 

@@ -184,7 +184,8 @@ class no_grad:
 
 
 def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
-    """Wrap an op result, recording it on the tape when gradients are needed.
+    """Wrap an op result, recording it on the tape when the calling thread
+    records and some parent takes a gradient.
 
     ``pullback`` maps the output gradient to one gradient (or None) per parent,
     each a full-shape array or an ``(index, part)`` pair for ``parent[index]``.
@@ -198,20 +199,13 @@ def apply_op(data: np.ndarray, parents: tuple[Tensor, ...], pullback) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.tape_id = None
-    out.requires_grad = records(parents)
+    out.requires_grad = _STATE.grad_enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         nodes = _STATE.tape.nodes
         kept = tuple(_tape_entry(p, nodes, pullback) for p in parents)
         out.tape_id = len(nodes)
         nodes.append(_Node(_Out(out), kept, pullback))
     return out
-
-
-def records(parents) -> bool:
-    """Whether ``apply_op`` records an op on ``parents``: the calling thread
-    records and some parent takes a gradient. An op whose pullback saves
-    extra arrays asks this first, so an unrecorded op saves none."""
-    return _STATE.grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _tape_entry(parent: Tensor, nodes: list, pullback):

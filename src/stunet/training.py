@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,10 +262,9 @@ def train_model(rc: RunConfig, ds: TimeSeriesDataset):
     norm = Normalizer().fit(ds.split_series("train"))
     model.norm_mean.data[...] = norm.mean
     model.norm_std.data[...] = norm.std
-    scaled = replace(ds, series=model.normalize(ds.series))
     wc = WindowConfig(cfg.j, cfg.h)
-    train_in, train_tg = make_windows(scaled, wc, "train")
-    val_in, val_tg = make_windows(scaled, wc, "val")
+    train_in, train_tg = make_windows(ds, wc, "train", model.normalize)
+    val_in, val_tg = make_windows(ds, wc, "val", model.normalize)
 
     params = model.trainable_params()
     names = [name for name, t in model.params.entries if t.requires_grad]

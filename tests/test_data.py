@@ -120,6 +120,29 @@ def test_windows_are_read_only_views_with_the_bytes_of_stacked_copies():
                 got[0, 0, 0, 0] = 1.0
 
 
+def test_a_window_map_reads_only_the_splits_rows():
+    # the map sees the split's rows alone, and its windows have the bytes of
+    # windows cut from the whole series mapped first
+    rng = np.random.default_rng(9)
+    ds = TimeSeriesDataset(series=rng.normal(size=(80, 3, 2)), graph=path_graph(3))
+    mapped = TimeSeriesDataset(series=ds.series * 3.0 - 1.0, graph=ds.graph)
+    wc = WindowConfig(4, 3)
+    for split in ("train", "val", "test"):
+        seen = []
+
+        def fn(rows):
+            seen.append(rows.shape)
+            return rows * 3.0 - 1.0
+
+        got = make_windows(ds, wc, split, fn)
+        want = make_windows(mapped, wc, split)
+        assert seen == [ds.split_series(split).shape]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
+            assert not np.shares_memory(g, ds.series)
+
+
 def test_normalizer_population_statistics():
     norm = Normalizer().fit(np.array([1.0, 2.0, 3.0])[:, None, None])
     assert abs(norm.mean[0] - 2.0) < 1e-15

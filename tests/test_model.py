@@ -606,3 +606,35 @@ def test_a_no_grad_forward_builds_each_skip_join_in_place(mode, bound):
             tracemalloc.stop()
     units = peak / (12 * 8 * g.n * 32 * 8)
     assert units <= bound, units
+
+
+@pytest.mark.parametrize("mode, bound", [("direct_copy", 32.0), ("ordered_deconv", 32.0),
+                                         ("weighted_deconv", 34.0)])
+def test_a_recorded_cell_step_keeps_no_basis(mode, bound):
+    # what a recorded forward holds for backward, and the peak through
+    # backward, by tracemalloc above the start, in units of one sequence-sized
+    # array (J * W * N * d_h float64s): backward rebuilds each cell step's two
+    # state bases, so no step keeps them (40.9 to 42.6 units held and 41.9 to
+    # 43.6 at peak when each step kept blocks 1..K-1 of both)
+    import tracemalloc
+
+    cfg = STUNetConfig(k=3, p=2, s=2, hidden_sizes=(32, 32, 32), j=12, h=3, unpool_mode=mode)
+    g = knn_grid_graph(12, 12)
+    net = build(cfg, g)
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(12, 8, g.n, 1)))
+    y = Tensor(rng.normal(size=(3, 8, g.n, 1)))
+    params = net.trainable_params()
+    T.grads(loss(net.forward(x, targets=y), y), params)  # first-call caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pred = net.forward(x, targets=y)
+        held = tracemalloc.get_traced_memory()[0] - before
+        got = T.grads(loss(pred, y), params)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        del pred, got
+    finally:
+        tracemalloc.stop()
+    unit = 12 * 8 * g.n * 32 * 8
+    assert held / unit <= bound and peak / unit <= bound, (held / unit, peak / unit)
