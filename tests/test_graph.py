@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import check_gradients, leaf, path_graph, random_graph
+from conftest import check_gradients, leaf, path_graph, random_graph, track_bases
 from stunet import tensor as T
 from stunet.data import knn_grid_graph
-from stunet.errors import GraphError, UsageError
+from stunet.errors import DimensionError, GraphError, NumericError, UsageError
 from stunet.graph import (
     ChebKernel,
     Graph,
@@ -14,6 +14,7 @@ from stunet.graph import (
     SpectralDecomposition,
     cheb_basis,
     cheb_conv,
+    cheb_matmul,
     estimate_lambda_max,
     jacobi_eigh,
     kernel_matrix,
@@ -393,6 +394,87 @@ def test_cheb_basis_batched_rows_bit_identical_sparse_operator():
     got = cheb_basis(lap, Tensor(xb), 3).data
     for b in range(5):
         assert np.array_equal(got[b], cheb_basis(lap, Tensor(xb[b]), 3).data)
+
+
+@pytest.mark.parametrize("side", [6, 12], ids=["dense", "ell"])
+def test_cheb_matmul_is_basis_then_matmul_bit_for_bit(side):
+    lap = normalized_laplacian(knn_grid_graph(side, side))
+    assert (lap.ell is not None) == (side == 12)
+    rng = np.random.default_rng(21)
+    for order in (1, 2, 3, 4):
+        xd = rng.normal(size=(3, 2, lap.n, 5))
+        wd = rng.normal(size=(order * 5, 7))
+        g = rng.normal(size=(3, 2, lap.n, 7))
+        runs = []
+        for fused in (True, False):
+            x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+            y = (cheb_matmul(lap, x, w, order) if fused
+                 else T.matmul(cheb_basis(lap, x, order), w))
+            dx, dw = T.grads(T._reduce_sum(T.mul_const(y, g)), [x, w])
+            runs.append([a.tobytes() for a in (y.data, dx, dw)])
+        assert runs[0] == runs[1], order
+
+
+@pytest.mark.parametrize("side", [3, 12], ids=["dense", "ell"])
+def test_cheb_matmul_gradients(side):
+    lap = normalized_laplacian(knn_grid_graph(side, side))
+    x = leaf((2, lap.n, 2), seed=22)
+    w = leaf((3 * 2, 3), seed=23)
+    check_gradients(
+        lambda: T._reduce_sum(T.tanh(cheb_matmul(lap, x, w, 3))), [w, x], rel_tol=1e-5
+    )
+
+
+def test_cheb_matmul_computes_no_gradient_for_a_constant_signal(monkeypatch):
+    lap = normalized_laplacian(knn_grid_graph(12, 12))
+    calls = []
+    transpose = GraphLaplacian.basis_transpose
+    monkeypatch.setattr(GraphLaplacian, "basis_transpose",
+                        lambda *a: calls.append(1) or transpose(*a))
+    rng = np.random.default_rng(24)
+    w = Tensor(rng.normal(size=(9, 2)), requires_grad=True)
+    for x_grad, want in ((False, 0), (True, 1)):
+        calls.clear()
+        x = Tensor(rng.normal(size=(lap.n, 3)), requires_grad=x_grad)
+        got = T.backward(T._reduce_sum(cheb_matmul(lap, x, w, 3)))
+        assert len(calls) == want and (x in got) == x_grad and w in got
+
+
+def test_a_recorded_cheb_matmul_keeps_no_basis(monkeypatch):
+    lap = normalized_laplacian(knn_grid_graph(12, 12))
+    refs = track_bases(monkeypatch)
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.normal(size=(2, lap.n, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(12, 4)), requires_grad=True)
+    y = cheb_matmul(lap, x, w, 4)
+    assert len(refs) == 1 and refs[0]() is None and y.tape_id is not None
+    T.backward(T._reduce_sum(y))  # the pullback builds its own basis
+    assert len(refs) == 2
+
+
+def test_cheb_matmul_overflowing_basis_is_a_numeric_error():
+    lap = normalized_laplacian(knn_grid_graph(12, 12))
+    x = Tensor(np.full((lap.n, 2), 1e308))
+    w = Tensor(np.full((6, 2), 1e-10), requires_grad=True)
+    # T_2 overflows; the finite blocks times w would give a finite output,
+    # so only the output check seeing the basis's inf can raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(cheb_matmul(lap, x, Tensor(w.data[:4]), 2).data).all()
+        with pytest.raises(NumericError, match="cheb_matmul"):
+            cheb_matmul(lap, x, w, 3)
+
+
+def test_cheb_matmul_checks_order_and_kernel_shape():
+    lap = normalized_laplacian(path_graph(4))
+    x = Tensor(np.ones((4, 2)))
+    with pytest.raises(UsageError, match="order must be >= 1"):
+        cheb_matmul(lap, x, Tensor(np.ones((2, 3))), 0)
+    with pytest.raises(DimensionError, match=r"2 signal channels at order 3 need a kernel of 6 rows, got \(4, 3\)"):
+        cheb_matmul(lap, x, Tensor(np.ones((4, 3))), 3)
+    # a signal with no node axis, or the wrong node count
+    for bad in (np.ones(2), np.ones((3, 2))):
+        with pytest.raises(DimensionError, match=r"has no \(\.\.\., 4, C\) node axis"):
+            cheb_matmul(lap, Tensor(bad), Tensor(np.ones((6, 3))), 3)
 
 
 def test_lambda_max_equals_eigvalsh():
