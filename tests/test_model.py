@@ -1,5 +1,6 @@
 """U-shaped model assembly, variants, loss, and binary checkpoints."""
 
+import functools
 import os
 import re
 
@@ -610,10 +611,12 @@ def test_a_no_grad_forward_builds_each_skip_join_in_place(mode, bound):
     assert units <= bound, units
 
 
+@functools.lru_cache(maxsize=None)
 def recorded_forward_units(mode):
     """(held, peak): what a recorded forward of a 12x12-grid U model holds
     for backward, and the peak through backward, by tracemalloc above the
-    start, in units of one sequence-sized array (J * W * N * d_h float64s)."""
+    start, in units of one sequence-sized array (J * W * N * d_h float64s).
+    Measured once per unpool mode; the tests that bound it share the figure."""
     import tracemalloc
 
     cfg = STUNetConfig(k=3, p=2, s=2, hidden_sizes=(32, 32, 32), j=12, h=3, unpool_mode=mode)
@@ -638,13 +641,21 @@ def recorded_forward_units(mode):
     return held / unit, peak / unit
 
 
+@pytest.mark.parametrize("mode, bound", [("direct_copy", 32.0), ("ordered_deconv", 32.0),
+                                         ("weighted_deconv", 34.0)])
+def test_a_recorded_cell_step_keeps_no_basis(mode, bound):
+    # backward rebuilds each cell step's two state bases, so no step keeps
+    # them (40.9 to 42.6 units held and 41.9 to 43.6 at peak when each step
+    # kept blocks 1..K-1 of both)
+    held, peak = recorded_forward_units(mode)
+    assert held <= bound and peak <= bound, (held, peak)
+
+
 @pytest.mark.parametrize("mode, bound", [("direct_copy", 27.0), ("ordered_deconv", 27.0),
                                          ("weighted_deconv", 29.0)])
-def test_a_recorded_cell_step_keeps_no_basis(mode, bound):
-    # backward rebuilds each cell step's two state bases and each input
-    # side's and readout's basis, so no op keeps one (23.1 to 24.8 units held
-    # and 24.9 to 26.6 at peak; 28.4 to 30.1 and 29.5 to 31.1 when input sides
-    # and readouts kept theirs, 40.9 to 42.6 and 41.9 to 43.6 when each step
-    # also kept blocks 1..K-1 of both of its own)
+def test_a_recorded_filter_keeps_no_basis(mode, bound):
+    # backward also rebuilds each input side's and readout's basis, so no op
+    # keeps one (23.1 to 24.8 units held and 24.9 to 26.6 at peak; 28.4 to
+    # 30.1 and 29.5 to 31.1 when input sides and readouts kept theirs)
     held, peak = recorded_forward_units(mode)
     assert held <= bound and peak <= bound, (held, peak)
