@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import GraphError, PartitionError, UsageError
 from .graph import Graph
-from .tensor import member_table
+from .tensor import gather_table, member_table
+
+MAX_GROUP = 2  # matching contraction merges at most two nodes per level
 
 
 @dataclass
@@ -196,8 +198,12 @@ class PartitionMap:
     level's parent map (as pooling reads it, and whose width is the largest
     supernode), and for unpooling ``slots[k]``, the slot of each finer node
     within its supernode (heaviest finer-graph weighted degree first, ties to
-    the lower id), and ``member_stats[k]``, per finer node its degree over the
-    level's max degree, its degree and its supernode's size.
+    the lower id), ``lifts[k]``, the row ``parent * MAX_GROUP + slot`` each
+    finer node reads from MAX_GROUP rows per supernode, the ``gather_table``
+    of each of the two gather indices (``copy_tables[k]`` of the parent map,
+    ``lift_tables[k]`` of the lift), which the gathers' backward folds with,
+    and ``member_stats[k]``, per finer node its degree over the level's max
+    degree, its degree and its supernode's size.
     """
 
     graphs: list  # graphs[0] finest, graphs[-1] coarsest
@@ -205,7 +211,9 @@ class PartitionMap:
 
     def __post_init__(self):
         self.tables, self.slots, self.member_stats = [], [], []
+        self.lifts, self.copy_tables, self.lift_tables = [], [], []
         for fine, coarse, parent in zip(self.graphs, self.graphs[1:], self.parents):
+            parent = np.asarray(parent, dtype=np.int64)
             table, counts = member_table(parent, fine.n, coarse.n)
             deg = fine.degrees()
             # grouped by supernode, heaviest first; lexsort is stable, so ties
@@ -218,6 +226,11 @@ class PartitionMap:
             self.tables.append((table, counts))
             self.slots.append(slot)
             self.member_stats.append(np.column_stack((scaled, deg, counts[parent])))
+            # every supernode has a member, so a copy reads every coarse row
+            # and its gather folds over the pooling table
+            self.copy_tables.append((np.arange(coarse.n), table, counts))
+            self.lifts.append(parent * MAX_GROUP + slot)
+            self.lift_tables.append(gather_table(self.lifts[-1]))
 
     @classmethod
     def from_parents(cls, g: Graph, parents: list) -> "PartitionMap":

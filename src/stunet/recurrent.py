@@ -186,8 +186,10 @@ class FoldedCell:
         the pre-activations are then the input side plus the biases, and the
         step computes no basis or product of the state, nor ``r * h_prev``,
         and takes no gradient for U_z, U_r or U_h. A step keeps neither of
-        its two bases: backward rebuilds B(h_prev) and B(r * h_prev), K-1
-        Laplacian products each, from arrays it holds anyway. A non-finite
+        its two bases nor its layer-norm statistics: backward rebuilds
+        B(h_prev) and B(r * h_prev), K-1 Laplacian products each, and the
+        normalized state and inverse deviation (from h_prev, z and c), from
+        arrays it holds anyway, by the forward's own calls. A non-finite
         gate pre-activation raises NumericError naming the gate and ``t``, the
         time step of the first row; the checked [z|r] pre-activation then
         becomes the gates in place, with the same ``sigmoid_array`` as
@@ -225,16 +227,24 @@ class FoldedCell:
         _check_finite(c, "candidate", t)
         np.tanh(c, out=c)
         ln = w.ln_gain is not None
-        h = np.subtract(hp, c, out=None if ln else out)
-        h *= z
-        h += c
+
+        def blend(out=None):  # the state before the optional layer norm
+            h = np.subtract(hp, c, out=out)
+            h *= z
+            h += c
+            return h
+
+        h = blend(None if ln else out)
         if ln:
-            h, xhat, inv_std = T.layer_norm_array(h, w.ln_gain.data, w.ln_bias.data, out)
+            h = T.layer_norm_affine(T.layer_norm_stats(h)[0], w.ln_gain.data, w.ln_bias.data, out)
 
         shape = xs.shape
 
         def pull(g):
-            grads = T.layer_norm_pull(g, xhat, inv_std, w.ln_gain.data) if ln else (g,)
+            if ln:  # the statistics, rebuilt by the forward's own calls
+                grads = T.layer_norm_pull(g, *T.layer_norm_stats(blend()), w.ln_gain.data)
+            else:
+                grads = (g,)
             g = grads[0]
             gx = np.empty(shape)  # [d pre_z | d pre_r | d pre_c]
             gz = g * z

@@ -11,8 +11,11 @@ learned per-slot linear (slot order given by finer-graph degree), or the
 slot output concatenated with member structure statistics and linearly
 mixed. Every strategy reads each finer node from its supernode's row with
 one gather; the learned ones first multiply the coarse rows by all slot
-matrices in one product. The member tables, the slots and the statistics
-are built once, with the partition map.
+matrices in one product. The member tables, the lift index, the gather
+tables and the statistics are built once, with the partition map. A
+weighted_deconv level is one op whose backward keeps only the coarse rows
+and the weights: it rebuilds the gathered rows joined with the statistics,
+the mixing product's input, by the forward's own calls.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DimensionError, PartitionError, UsageError
-from .partition import PartitionMap
+from .partition import MAX_GROUP, PartitionMap
 from .tensor import Tensor
 
 UNPOOL_MODES = ("direct_copy", "ordered_deconv", "weighted_deconv")
 
-MAX_GROUP = 2  # matching contraction merges at most two nodes per level
 STRUCT_FEATURES = 3  # per-member structure statistics fed to weighted_deconv
 
 
@@ -120,26 +122,69 @@ def unpool(
         raise UsageError(f"unknown unpooling strategy {strategy.mode!r}")
     for k in range(from_level - 1, to_level - 1, -1):
         _check_nodes(x, pm.graphs[k + 1].n)
-        parent = pm.parents[k]
         dest = out if k == to_level else None
         if strategy.mode == "direct_copy":
-            x = T.gather_rows(x, parent, dest)
+            x = T.gather_rows(x, pm.parents[k], dest, pm.copy_tables[k])
             continue
-        slot = pm.slots[k]
         if pm.tables[k][0].shape[1] > MAX_GROUP:  # the widest supernode
             raise PartitionError(f"level {k} has a supernode of over {MAX_GROUP} members")
-        slotted = T.matmul(x, T.concat_channels(*strategy.slot_w))
-        slotted = T.reshape(slotted, x.data.shape[:-2] + (MAX_GROUP * x.data.shape[-2], -1))
-        if strategy.mode == "ordered_deconv":
-            x = T.gather_rows(slotted, parent * MAX_GROUP + slot, dest)
+        if strategy.mode == "weighted_deconv":
+            x = _weighted_lift(x, pm, k, strategy, dest)
             continue
-        # each array is dropped once read, so under no_grad it is freed
-        x = T.gather_rows(slotted, parent * MAX_GROUP + slot)
-        del slotted
-        wide = np.broadcast_to(pm.member_stats[k], x.data.shape[:-1] + (STRUCT_FEATURES,))
-        x = T.concat_channels(x, Tensor(np.ascontiguousarray(wide)))
-        x = T.matmul_into(x, strategy.mix_w, dest)
+        slotted = T.matmul(x, T.concat_channels(*strategy.slot_w))
+        slotted = T.reshape(slotted, _slotted_shape(x.data))
+        x = T.gather_rows(slotted, pm.lifts[k], dest, pm.lift_tables[k])
     return x
+
+
+def _slotted_shape(xd: np.ndarray) -> tuple:
+    """The coarse rows times all slot matrices, read as MAX_GROUP rows per
+    supernode."""
+    return xd.shape[:-2] + (MAX_GROUP * xd.shape[-2], xd.shape[-1])
+
+
+def _weighted_lift(x: Tensor, pm: PartitionMap, k: int, strategy: UnpoolStrategy,
+                   out: np.ndarray | None) -> Tensor:
+    """One weighted_deconv level as one op: the slotted rows, gathered by the
+    lift index, joined with the member statistics and mixed, into ``out``
+    when given. The forward and backward make the array calls of that chain
+    of six ops (slot concat, slot product, reshape, gather, stats concat,
+    mixing product), but the pullback keeps only ``x`` and the weights: it
+    rebuilds the mixing product's input by the forward's own calls, so the
+    weight gradients keep their bits."""
+    xd = x.data
+    slot_w = [w.data for w in strategy.slot_w]
+    mix = strategy.mix_w.data
+    c = slot_w[0].shape[0]
+    if xd.shape[-1] != c:
+        raise DimensionError(f"unpool: {xd.shape[-1]} input channels, slot matrices {c}")
+    lift, table, stats = pm.lifts[k], pm.lift_tables[k], pm.member_stats[k]
+    result = xd.shape[:-2] + (lift.size, mix.shape[1])
+    T._check_out(out, result, "unpool")
+
+    def mix_input():
+        # each array is dropped once read, so under no_grad it is freed
+        slotted = T.flat_matmul(xd, np.concatenate(slot_w, axis=-1))
+        rows = T.gather_rows_array(slotted.reshape(_slotted_shape(xd)), lift)
+        del slotted
+        wide = np.broadcast_to(stats, rows.shape[:-1] + (STRUCT_FEATURES,))
+        return np.concatenate([rows, wide], axis=-1)
+
+    def pull(g):
+        joined = mix_input()
+        gmix = joined.reshape(-1, c + STRUCT_FEATURES).T @ g.reshape(-1, g.shape[-1])
+        del joined
+        grows = T.flat_matmul(g, mix.T)[..., :c]
+        gslotted = T.gather_rows_pull(grows, _slotted_shape(xd), table).reshape(
+            xd.shape[:-1] + (MAX_GROUP * c,))
+        del grows
+        gx = T.flat_matmul(gslotted, np.concatenate(slot_w, axis=-1).T)
+        gslots = np.split(xd.reshape(-1, c).T @ gslotted.reshape(-1, MAX_GROUP * c),
+                          MAX_GROUP, axis=-1)
+        return (gx, *gslots, gmix)
+
+    y = T.flat_matmul(mix_input(), mix, out)
+    return T.apply_op(y, (x, *strategy.slot_w, strategy.mix_w), pull)
 
 
 def _check_nodes(x: Tensor, n: int) -> None:

@@ -472,33 +472,55 @@ def concat_steps(blocks: list[Tensor], out: np.ndarray | None = None) -> Tensor:
 _GATHER_ELEMS = 1 << 16
 
 
-def gather_rows(x: Tensor, index: np.ndarray, out: np.ndarray | None = None) -> Tensor:
+def gather_rows(x: Tensor, index: np.ndarray, out: np.ndarray | None = None,
+                table=None) -> Tensor:
     """Gather rows along the node axis (second to last), into ``out`` when
     given, else into a new array. The backward folds each source row's
     gradient rows in gather order, as ``segment_reduce`` folds members; a
-    source row never gathered gets a zero gradient."""
+    source row never gathered gets a zero gradient. ``table`` is the
+    ``gather_table`` of ``index`` when the caller has built it."""
     index = np.asarray(index, dtype=np.int64)
     if x.data.ndim < 2:
         raise DimensionError("gather_rows requires rank >= 2 input")
     shape = x.data.shape
+    out = gather_rows_array(x.data, index, out)
+
+    def pull(g):
+        return (gather_rows_pull(g, shape, table or gather_table(index)),)
+
+    return apply_op(out, (x,), pull)
+
+
+def gather_rows_array(xd: np.ndarray, index: np.ndarray, out: np.ndarray | None = None):
+    """The forward of ``gather_rows`` on an array (rank >= 2, int64 index)."""
+    shape = xd.shape
     result = shape[:-2] + (index.size, shape[-1])
     if out is None:
         out = np.empty(result)
     _check_out(out, result, "gather_rows")
     lead = (int(np.prod(shape[:-2])),)
-    src = x.data.reshape(lead + shape[-2:])
+    src = xd.reshape(lead + shape[-2:])
     dst = _rows_of(out).reshape(lead + result[-2:])
     step = max(1, _GATHER_ELEMS // max(1, index.size * shape[-1]))
     for b in range(0, src.shape[0], step):
         dst[b : b + step] = np.take(src[b : b + step], index, axis=1)
+    return out
 
-    def pull(g):
-        used, group = np.unique(index, return_inverse=True)
-        z = np.zeros(shape)
-        z[..., used, :] = _fold_members(g, *member_table(group, index.size), np.add, 0.0)
-        return (z,)
 
-    return apply_op(out, (x,), pull)
+def gather_table(index: np.ndarray):
+    """What a gather's backward folds with: the source rows ``index`` reads,
+    and the ``member_table`` of ``index`` over them."""
+    used, group = np.unique(index, return_inverse=True)
+    return (used,) + member_table(group, index.size)
+
+
+def gather_rows_pull(g: np.ndarray, shape: tuple, table) -> np.ndarray:
+    """The gradient of a gather from source shape ``shape``, from its output
+    gradient ``g`` and the ``gather_table`` of its index."""
+    used, members, counts = table
+    z = np.zeros(shape)
+    z[..., used, :] = _fold_members(g, members, counts, np.add, 0.0)
+    return z
 
 
 def member_table(parent, n: int, n_super: int | None = None):
@@ -588,28 +610,36 @@ def layer_norm(h: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     c = h.data.shape[-1]
     if gain.data.shape != (c,) or bias.data.shape != (c,):
         raise DimensionError("layer_norm gain/bias must match the channel count")
-    out, xhat, inv_std = layer_norm_array(h.data, gain.data, bias.data)
+    xhat, inv_std = layer_norm_stats(h.data.copy())
+    out = layer_norm_affine(xhat, gain.data, bias.data)
     return apply_op(
         out, (h, gain, bias), lambda g: layer_norm_pull(g, xhat, inv_std, gain.data)
     )
 
 
-def layer_norm_array(h: np.ndarray, gain: np.ndarray, bias: np.ndarray, out=None):
-    """The layer norm of an array, written into ``out`` (a new array when
-    None), with what its pullback reads: (out, xhat, inv_std)."""
+def layer_norm_stats(h: np.ndarray):
+    """The normalize half of a layer norm, which its pullback reads:
+    (xhat, inv_std), with xhat written over ``h``."""
     # the sums divided by the count are what ndarray.mean computes, bit for bit
     c = h.shape[-1]
     mu = np.add.reduce(h, axis=-1, keepdims=True)
     mu /= c
-    xhat = h - mu
+    xhat = h
+    xhat -= mu
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
     var /= c
     var += _LN_EPS
     inv_std = np.divide(1.0, np.sqrt(var, out=var), out=var)
     xhat *= inv_std
+    return xhat, inv_std
+
+
+def layer_norm_affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray, out=None):
+    """The affine half of a layer norm, written into ``out`` (a new array
+    when None)."""
     out = np.multiply(xhat, gain, out=out)
     out += bias
-    return out, xhat, inv_std
+    return out
 
 
 def layer_norm_pull(g, xhat, inv_std, gain):

@@ -9,7 +9,7 @@ from conftest import check_gradients, cycle_graph, leaf, random_graph
 from stunet import tensor as T
 from stunet.errors import DimensionError, PartitionError, UsageError
 from stunet.graph import Graph
-from stunet.partition import PartitionMap, multilevel_partition
+from stunet.partition import MAX_GROUP, PartitionMap, multilevel_partition
 from stunet.sampling import (
     STRUCT_FEATURES,
     UNPOOL_MODES,
@@ -278,6 +278,81 @@ def test_unpool_into_a_join_equals_concat_of_unpool(mode, recorded):
     assert [a.tobytes() for a in got_grads] == [b.tobytes() for b in want_grads]
     with pytest.raises(DimensionError):
         unpool(Tensor(xd), pm, strategy, out=np.empty((3, pm.graphs[0].n, 5)))
+
+
+def _six_op_lift(x, pm, level, strategy, out=None):
+    """One weighted_deconv level as the chain of six ops it once was: slot
+    concat, slot product, reshape, gather, stats concat, mixing product."""
+    slotted = T.matmul(x, T.concat_channels(*strategy.slot_w))
+    slotted = T.reshape(slotted, x.shape[:-2] + (MAX_GROUP * x.shape[-2], -1))
+    rows = T.gather_rows(slotted, pm.parents[level] * MAX_GROUP + pm.slots[level])
+    wide = np.broadcast_to(pm.member_stats[level], rows.shape[:-1] + (STRUCT_FEATURES,))
+    joined = T.concat_channels(rows, Tensor(np.ascontiguousarray(wide)))
+    return T.matmul_into(joined, strategy.mix_w, out)
+
+
+@pytest.mark.parametrize("recorded", [True, False])
+@pytest.mark.parametrize("into_join", [False, True])
+def test_weighted_lift_has_the_bytes_of_the_six_op_chain(recorded, into_join):
+    # one op, whose pullback rebuilds the mixing product's input, gives the
+    # forecast and gradient bytes of the chain that kept it
+    rng = np.random.default_rng(31)
+    pm = multilevel_partition(random_graph(rng, 15, density=0.3), 2)
+    strategy = init_unpool(rng, "weighted_deconv", 4)
+    for level in range(pm.levels):
+        n = pm.graphs[level].n
+        for lead in ((), (3,), (2, 3)):
+            xd = rng.normal(size=lead + (pm.graphs[level + 1].n, 4))
+            skip_d = rng.normal(size=lead + (n, 2))
+            g = rng.normal(size=lead + (n, 6 if into_join else 4))
+
+            def run(lift):
+                T.reset_tape()
+                x = Tensor(xd, requires_grad=True)
+                params = [x] + strategy.params()
+                if into_join:
+                    skip = Tensor(skip_d, requires_grad=True)
+                    params.append(skip)
+                    join = np.empty(lead + (n, 6))
+                    T.move_into(skip, join[..., 4:])
+                    y = T.concat_channels(lift(x, join[..., :4]), skip, out=join)
+                    assert np.shares_memory(y.data, join)
+                else:
+                    y = lift(x, None)
+                grads = T.grads(T._reduce_sum(T.mul_const(y, g)), params) if recorded else []
+                return y.data.tobytes(), [a.tobytes() for a in grads]
+
+            with contextlib.nullcontext() if recorded else T.no_grad():
+                want = run(lambda x, out: _six_op_lift(x, pm, level, strategy, out))
+                got = run(lambda x, out: unpool(x, pm, strategy, level + 1, level, out))
+            assert got == want
+            T.reset_tape()
+            unpool(Tensor(xd, requires_grad=True), pm, strategy, level + 1, level)
+            assert len(T.tape()) == 1  # one op per level
+            with pytest.raises(DimensionError):
+                unpool(Tensor(xd), pm, strategy, level + 1, level, out=np.empty(lead + (n, 5)))
+            with pytest.raises(DimensionError):
+                unpool(Tensor(xd[..., :3]), pm, strategy, level + 1, level)
+
+
+@pytest.mark.parametrize("mode", UNPOOL_MODES)
+def test_unpool_reads_the_gather_tables_the_partition_map_built(mode, monkeypatch):
+    # no unpool forward or backward builds a member or gather table: the
+    # partition map built them, the same as a gather builds its own
+    rng = np.random.default_rng(32)
+    pm = multilevel_partition(random_graph(rng, 14, density=0.3), 2)
+    for k, parent in enumerate(pm.parents):
+        assert np.array_equal(pm.lifts[k], parent * MAX_GROUP + pm.slots[k])
+        for built, index in ((pm.copy_tables[k], parent), (pm.lift_tables[k], pm.lifts[k])):
+            assert [a.tobytes() for a in built] == [a.tobytes() for a in T.gather_table(index)]
+    strategy = init_unpool(rng, mode, 3)
+    x = leaf((2, pm.graphs[2].n, 3), seed=33)
+    calls = []
+    for name in ("member_table", "gather_table"):
+        fn = getattr(T, name)
+        monkeypatch.setattr(T, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+    T.grads(T._reduce_sum(T.tanh(unpool(x, pm, strategy))), [x] + strategy.params())
+    assert calls == []
 
 
 def test_unpool_rejects_supernodes_wider_than_the_slots():
