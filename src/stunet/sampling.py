@@ -12,10 +12,11 @@ slot output concatenated with member structure statistics and linearly
 mixed. Every strategy reads each finer node from its supernode's row with
 one gather; the learned ones first multiply the coarse rows by all slot
 matrices in one product. The member tables, the lift index, the gather
-tables and the statistics are built once, with the partition map. A
-weighted_deconv level is one op whose backward keeps only the coarse rows
-and the weights: it rebuilds the gathered rows joined with the statistics,
-the mixing product's input, by the forward's own calls.
+tables and the statistics are built once, with the partition map. Every
+learned level, ordered or weighted, is one op whose backward keeps only its
+coarse input and the weights; for weighted_deconv it rebuilds the gathered
+rows joined with the statistics, the mixing product's input, by the
+forward's own calls.
 """
 
 from __future__ import annotations
@@ -128,63 +129,56 @@ def unpool(
             continue
         if pm.tables[k][0].shape[1] > MAX_GROUP:  # the widest supernode
             raise PartitionError(f"level {k} has a supernode of over {MAX_GROUP} members")
-        if strategy.mode == "weighted_deconv":
-            x = _weighted_lift(x, pm, k, strategy, dest)
-            continue
-        slotted = T.matmul(x, T.concat_channels(*strategy.slot_w))
-        slotted = T.reshape(slotted, _slotted_shape(x.data))
-        x = T.gather_rows(slotted, pm.lifts[k], dest, pm.lift_tables[k])
+        x = _lift(x, pm, k, strategy, dest)
     return x
 
 
-def _slotted_shape(xd: np.ndarray) -> tuple:
-    """The coarse rows times all slot matrices, read as MAX_GROUP rows per
-    supernode."""
-    return xd.shape[:-2] + (MAX_GROUP * xd.shape[-2], xd.shape[-1])
-
-
-def _weighted_lift(x: Tensor, pm: PartitionMap, k: int, strategy: UnpoolStrategy,
-                   out: np.ndarray | None) -> Tensor:
-    """One weighted_deconv level as one op: the slotted rows, gathered by the
-    lift index, joined with the member statistics and mixed, into ``out``
-    when given. The forward and backward make the array calls of that chain
-    of six ops (slot concat, slot product, reshape, gather, stats concat,
-    mixing product), but the pullback keeps only ``x`` and the weights: it
-    rebuilds the mixing product's input by the forward's own calls, so the
-    weight gradients keep their bits."""
+def _lift(x: Tensor, pm: PartitionMap, k: int, strategy: UnpoolStrategy,
+          out: np.ndarray | None) -> Tensor:
+    """One learned unpool level as one op: the coarse rows times all slot
+    matrices, read as MAX_GROUP rows per supernode and gathered by the lift
+    index; for weighted_deconv, then joined with the member statistics and
+    mixed. The level's result goes into ``out`` when given. The pullback
+    keeps only ``x`` and the weights: it rebuilds the mixing product's input
+    by the forward's own calls, so the weight gradients keep their bits."""
     xd = x.data
     slot_w = [w.data for w in strategy.slot_w]
-    mix = strategy.mix_w.data
+    mix = None if strategy.mix_w is None else strategy.mix_w.data
     c = slot_w[0].shape[0]
     if xd.shape[-1] != c:
         raise DimensionError(f"unpool: {xd.shape[-1]} input channels, slot matrices {c}")
-    lift, table, stats = pm.lifts[k], pm.lift_tables[k], pm.member_stats[k]
-    result = xd.shape[:-2] + (lift.size, mix.shape[1])
-    T._check_out(out, result, "unpool")
+    lift, table = pm.lifts[k], pm.lift_tables[k]
+    slotted_shape = xd.shape[:-2] + (MAX_GROUP * xd.shape[-2], c)
+    T._check_out(out, xd.shape[:-2] + (lift.size, c), "unpool")
+
+    def rows(dest=None):
+        # the slotted rows are dropped once gathered, so under no_grad they
+        # are freed
+        slotted = T.flat_matmul(xd, np.concatenate(slot_w, axis=-1))
+        return T.gather_rows_array(slotted.reshape(slotted_shape), lift, dest)
 
     def mix_input():
-        # each array is dropped once read, so under no_grad it is freed
-        slotted = T.flat_matmul(xd, np.concatenate(slot_w, axis=-1))
-        rows = T.gather_rows_array(slotted.reshape(_slotted_shape(xd)), lift)
-        del slotted
-        wide = np.broadcast_to(stats, rows.shape[:-1] + (STRUCT_FEATURES,))
-        return np.concatenate([rows, wide], axis=-1)
+        gathered = rows()
+        wide = np.broadcast_to(pm.member_stats[k], gathered.shape[:-1] + (STRUCT_FEATURES,))
+        return np.concatenate([gathered, wide], axis=-1)
 
     def pull(g):
-        joined = mix_input()
-        gmix = joined.reshape(-1, c + STRUCT_FEATURES).T @ g.reshape(-1, g.shape[-1])
-        del joined
-        grows = T.flat_matmul(g, mix.T)[..., :c]
-        gslotted = T.gather_rows_pull(grows, _slotted_shape(xd), table).reshape(
+        gmix = ()
+        if mix is not None:
+            joined = mix_input()
+            gmix = (joined.reshape(-1, c + STRUCT_FEATURES).T @ g.reshape(-1, g.shape[-1]),)
+            del joined
+            g = T.flat_matmul(g, mix.T)[..., :c]
+        gslotted = T.gather_rows_pull(g, slotted_shape, table).reshape(
             xd.shape[:-1] + (MAX_GROUP * c,))
-        del grows
+        del g
         gx = T.flat_matmul(gslotted, np.concatenate(slot_w, axis=-1).T)
         gslots = np.split(xd.reshape(-1, c).T @ gslotted.reshape(-1, MAX_GROUP * c),
                           MAX_GROUP, axis=-1)
-        return (gx, *gslots, gmix)
+        return (gx, *gslots, *gmix)
 
-    y = T.flat_matmul(mix_input(), mix, out)
-    return T.apply_op(y, (x, *strategy.slot_w, strategy.mix_w), pull)
+    y = rows(out) if mix is None else T.flat_matmul(mix_input(), mix, out)
+    return T.apply_op(y, (x, *strategy.params()), pull)
 
 
 def _check_nodes(x: Tensor, n: int) -> None:

@@ -317,10 +317,13 @@ def mul_const(x: Tensor, const: np.ndarray) -> Tensor:
     The constant may broadcast against ``x`` but must not expand its shape.
     """
     c = np.asarray(const, dtype=np.float64)
-    out = x.data * c
-    if out.shape != x.data.shape:
+    try:
+        out = x.data * c
+    except ValueError:
+        out = None
+    if out is None or out.shape != x.data.shape:
         raise DimensionError(
-            f"mul_const: constant {c.shape} expands input {x.data.shape}"
+            f"mul_const: constant {c.shape} does not broadcast to input {x.data.shape}"
         )
     return apply_op(out, (x,), lambda g: (g * c,))
 
@@ -359,12 +362,6 @@ def flat_matmul(ad: np.ndarray, bd: np.ndarray, out: np.ndarray | None = None) -
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Product of ``a`` (..., m, k) with the matrix ``b`` (k, n), computed as
     one product over the flattened leading axes of ``a``."""
-    return matmul_into(a, b, None)
-
-
-def matmul_into(a: Tensor, b: Tensor, out: np.ndarray | None) -> Tensor:
-    """``matmul``, written into ``out`` of shape (..., m, n) when given, which
-    may be a block of channels of a larger array."""
     if a.data.ndim < 2 or b.data.ndim != 2:
         raise DimensionError(
             f"matmul needs a rank >= 2 left and a rank-2 right operand, got "
@@ -381,8 +378,7 @@ def matmul_into(a: Tensor, b: Tensor, out: np.ndarray | None) -> Tensor:
         gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return ga, gb
 
-    _check_out(out, ad.shape[:-1] + bd.shape[-1:], "matmul")
-    return apply_op(flat_matmul(ad, bd, out), (a, b), pull)
+    return apply_op(flat_matmul(ad, bd), (a, b), pull)
 
 
 def _check_out(out: np.ndarray | None, shape: tuple, op: str) -> None:
@@ -401,17 +397,33 @@ def _rows_of(out: np.ndarray) -> np.ndarray:
 
 def concat_channels(*xs: Tensor, out: np.ndarray | None = None) -> Tensor:
     """Concatenate along the last (channel) axis; leading extents must agree.
+    ``out`` as in ``_concat``."""
+    return _concat(xs, -1, out)
 
-    ``out``, when given, is the joined array whose consecutive channel blocks
-    the parts already are; it is returned as is, without a copy.
+
+def concat_steps(blocks: list[Tensor], out: np.ndarray | None = None) -> Tensor:
+    """Join blocks of steps end to end along the leading (time) axis;
+    trailing extents must agree. ``out`` as in ``_concat``."""
+    return _concat(tuple(blocks), 0, out)
+
+
+def _concat(xs: tuple, axis: int, out: np.ndarray | None) -> Tensor:
+    """Join ``xs`` along ``axis`` (0 or -1), whose other extents must agree.
+
+    ``out``, when given, is the joined array whose consecutive blocks along
+    ``axis`` the parts already are; it is returned as is, without a copy.
     """
-    lead = [x.data.shape[:-1] for x in xs]
-    if len(set(lead)) != 1:
-        raise DimensionError(f"concat_channels: leading extents {lead} differ")
-    ends = list(accumulate(x.data.shape[-1] for x in xs))[:-1]
+    op = "concat_steps" if axis == 0 else "concat_channels"
+    rest = [x.data.shape[:axis] + x.data.shape[axis:][1:] for x in xs]
+    if len(set(rest)) != 1:
+        raise DimensionError(f"{op}: extents {rest} off the joined axis differ")
+    ends = list(accumulate(x.data.shape[axis] for x in xs))
     if out is None:
-        out = np.concatenate([x.data for x in xs], axis=-1)
-    return apply_op(out, xs, lambda g: tuple(np.split(g, ends, axis=-1)))
+        out = np.concatenate([x.data for x in xs], axis=axis)
+    joined = list(xs[0].data.shape)
+    joined[axis] = ends[-1]
+    _check_out(out, tuple(joined), op)
+    return apply_op(out, xs, lambda g: tuple(np.split(g, ends[:-1], axis=axis)))
 
 
 def move_into(x: Tensor, out: np.ndarray) -> None:
@@ -424,19 +436,11 @@ def move_into(x: Tensor, out: np.ndarray) -> None:
     x.data = out
 
 
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    """The same values in row-major order, read with another shape."""
-    try:
-        out = x.data.reshape(shape)
-    except ValueError:
-        raise DimensionError(f"reshape: cannot read {x.data.shape} as {shape}") from None
-    in_shape = x.data.shape
-    return apply_op(out, (x,), lambda g: (g.reshape(in_shape),))
-
-
 def select_step(x: Tensor, t: int | slice) -> Tensor:
     """Pick index ``t`` (one time step) or the slice ``t`` (a block of steps)
     along the leading axis."""
+    if not isinstance(t, (int, np.integer, slice)) or isinstance(t, bool):
+        raise DimensionError(f"select_step: index {t!r} is neither an integer nor a slice")
     n = x.data.shape[0] if x.data.ndim else 0
     if not (len(range(n)[t]) if isinstance(t, slice) else 0 <= t < n):
         raise DimensionError(f"select_step: index {t} out of range")
@@ -448,22 +452,11 @@ def stack_steps(steps: list[Tensor]) -> Tensor:
     """Stack equally shaped tensors along a new leading (time) axis."""
     if not steps:
         raise UsageError("stack_steps needs at least one step")
+    shapes = [s.data.shape for s in steps]
+    if len(set(shapes)) != 1:
+        raise DimensionError(f"stack_steps: step shapes {shapes} differ")
     out = np.stack([s.data for s in steps], axis=0)
     return apply_op(out, tuple(steps), lambda g: tuple(g))
-
-
-def concat_steps(blocks: list[Tensor], out: np.ndarray | None = None) -> Tensor:
-    """Join blocks of steps end to end along the leading (time) axis.
-
-    ``out``, when given, is the joined array whose consecutive leading slices
-    the blocks already are; it is returned as is, without a copy.
-    """
-    if len({b.data.shape[1:] for b in blocks}) != 1:
-        raise DimensionError("concat_steps needs blocks with equal trailing extents")
-    ends = list(accumulate(b.data.shape[0] for b in blocks))[:-1]
-    if out is None:
-        out = np.concatenate([b.data for b in blocks], axis=0)
-    return apply_op(out, tuple(blocks), lambda g: tuple(np.split(g, ends)))
 
 
 # gathers take blocks of leading rows of about this many elements (512 KB), so
@@ -483,6 +476,8 @@ def gather_rows(x: Tensor, index: np.ndarray, out: np.ndarray | None = None,
     if x.data.ndim < 2:
         raise DimensionError("gather_rows requires rank >= 2 input")
     shape = x.data.shape
+    if index.ndim != 1 or index.size and not 0 <= index.min() <= index.max() < shape[-2]:
+        raise DimensionError(f"gather_rows: index {index} is not a vector in 0..{shape[-2] - 1}")
     out = gather_rows_array(x.data, index, out)
 
     def pull(g):

@@ -280,59 +280,69 @@ def test_unpool_into_a_join_equals_concat_of_unpool(mode, recorded):
         unpool(Tensor(xd), pm, strategy, out=np.empty((3, pm.graphs[0].n, 5)))
 
 
-def _six_op_lift(x, pm, level, strategy, out=None):
-    """One weighted_deconv level as the chain of six ops it once was: slot
-    concat, slot product, reshape, gather, stats concat, mixing product."""
+def _op_chain_lift(x, pm, level, strategy, out=None):
+    """One learned unpool level as the chain of ops it once was: slot concat,
+    slot product, reshape and gather, then for weighted_deconv a stats concat
+    and the mixing product; the result moves into ``out`` when given."""
     slotted = T.matmul(x, T.concat_channels(*strategy.slot_w))
-    slotted = T.reshape(slotted, x.shape[:-2] + (MAX_GROUP * x.shape[-2], -1))
-    rows = T.gather_rows(slotted, pm.parents[level] * MAX_GROUP + pm.slots[level])
-    wide = np.broadcast_to(pm.member_stats[level], rows.shape[:-1] + (STRUCT_FEATURES,))
-    joined = T.concat_channels(rows, Tensor(np.ascontiguousarray(wide)))
-    return T.matmul_into(joined, strategy.mix_w, out)
+    in_shape = slotted.shape
+    slotted = T.apply_op(slotted.data.reshape(x.shape[:-2] + (MAX_GROUP * x.shape[-2], -1)),
+                         (slotted,), lambda g: (g.reshape(in_shape),))
+    y = T.gather_rows(slotted, pm.parents[level] * MAX_GROUP + pm.slots[level])
+    if strategy.mix_w is not None:
+        wide = np.broadcast_to(pm.member_stats[level], y.shape[:-1] + (STRUCT_FEATURES,))
+        joined = T.concat_channels(y, Tensor(np.ascontiguousarray(wide)))
+        y = T.matmul(joined, strategy.mix_w)
+    if out is not None:
+        T.move_into(y, out)
+    return y
 
 
 @pytest.mark.parametrize("recorded", [True, False])
 @pytest.mark.parametrize("into_join", [False, True])
 def test_weighted_lift_has_the_bytes_of_the_six_op_chain(recorded, into_join):
-    # one op, whose pullback rebuilds the mixing product's input, gives the
-    # forecast and gradient bytes of the chain that kept it
+    # one op per learned level, whose pullback rebuilds what it needs, gives
+    # the forecast and gradient bytes of the chain that kept it: four ops for
+    # ordered_deconv, six for weighted_deconv
     rng = np.random.default_rng(31)
     pm = multilevel_partition(random_graph(rng, 15, density=0.3), 2)
-    strategy = init_unpool(rng, "weighted_deconv", 4)
-    for level in range(pm.levels):
-        n = pm.graphs[level].n
-        for lead in ((), (3,), (2, 3)):
-            xd = rng.normal(size=lead + (pm.graphs[level + 1].n, 4))
-            skip_d = rng.normal(size=lead + (n, 2))
-            g = rng.normal(size=lead + (n, 6 if into_join else 4))
+    for mode in ("ordered_deconv", "weighted_deconv"):
+        strategy = init_unpool(rng, mode, 4)
+        for level in range(pm.levels):
+            n = pm.graphs[level].n
+            for lead in ((), (3,), (2, 3)):
+                xd = rng.normal(size=lead + (pm.graphs[level + 1].n, 4))
+                skip_d = rng.normal(size=lead + (n, 2))
+                g = rng.normal(size=lead + (n, 6 if into_join else 4))
 
-            def run(lift):
+                def run(lift):
+                    T.reset_tape()
+                    x = Tensor(xd, requires_grad=True)
+                    params = [x] + strategy.params()
+                    if into_join:
+                        skip = Tensor(skip_d, requires_grad=True)
+                        params.append(skip)
+                        join = np.empty(lead + (n, 6))
+                        T.move_into(skip, join[..., 4:])
+                        y = T.concat_channels(lift(x, join[..., :4]), skip, out=join)
+                        assert np.shares_memory(y.data, join)
+                    else:
+                        y = lift(x, None)
+                    grads = T.grads(T._reduce_sum(T.mul_const(y, g)), params) if recorded else []
+                    return y.data.tobytes(), [a.tobytes() for a in grads]
+
+                with contextlib.nullcontext() if recorded else T.no_grad():
+                    want = run(lambda x, out: _op_chain_lift(x, pm, level, strategy, out))
+                    got = run(lambda x, out: unpool(x, pm, strategy, level + 1, level, out))
+                assert got == want
                 T.reset_tape()
-                x = Tensor(xd, requires_grad=True)
-                params = [x] + strategy.params()
-                if into_join:
-                    skip = Tensor(skip_d, requires_grad=True)
-                    params.append(skip)
-                    join = np.empty(lead + (n, 6))
-                    T.move_into(skip, join[..., 4:])
-                    y = T.concat_channels(lift(x, join[..., :4]), skip, out=join)
-                    assert np.shares_memory(y.data, join)
-                else:
-                    y = lift(x, None)
-                grads = T.grads(T._reduce_sum(T.mul_const(y, g)), params) if recorded else []
-                return y.data.tobytes(), [a.tobytes() for a in grads]
-
-            with contextlib.nullcontext() if recorded else T.no_grad():
-                want = run(lambda x, out: _six_op_lift(x, pm, level, strategy, out))
-                got = run(lambda x, out: unpool(x, pm, strategy, level + 1, level, out))
-            assert got == want
-            T.reset_tape()
-            unpool(Tensor(xd, requires_grad=True), pm, strategy, level + 1, level)
-            assert len(T.tape()) == 1  # one op per level
-            with pytest.raises(DimensionError):
-                unpool(Tensor(xd), pm, strategy, level + 1, level, out=np.empty(lead + (n, 5)))
-            with pytest.raises(DimensionError):
-                unpool(Tensor(xd[..., :3]), pm, strategy, level + 1, level)
+                unpool(Tensor(xd, requires_grad=True), pm, strategy, level + 1, level)
+                assert len(T.tape()) == 1, mode  # one op per level
+                with pytest.raises(DimensionError):
+                    unpool(Tensor(xd), pm, strategy, level + 1, level,
+                           out=np.empty(lead + (n, 5)))
+                with pytest.raises(DimensionError):
+                    unpool(Tensor(xd[..., :3]), pm, strategy, level + 1, level)
 
 
 @pytest.mark.parametrize("mode", UNPOOL_MODES)

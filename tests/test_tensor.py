@@ -129,7 +129,7 @@ def test_a_non_finite_forward_names_its_op():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="^scale: .*non-finite"):
             T.scale(big, 10.0)
-        with pytest.raises(NumericError, match="^matmul_into: .*non-finite"):
+        with pytest.raises(NumericError, match="^matmul: .*non-finite"):
             T.matmul(big, Tensor(np.full((2, 3), 10.0)))
 
 
@@ -225,6 +225,30 @@ def test_concat_channels_keeps_operand_order():
         T.concat_channels(up, Tensor(np.ones((3, 3))))
 
 
+def test_a_join_refuses_an_out_of_another_shape():
+    # ``out`` is the joined array itself, so one of another shape is an error
+    # that names the join's shape, never returned as the join
+    a, b = Tensor(np.ones((4, 2))), Tensor(np.ones((4, 3)))
+    with pytest.raises(DimensionError, match=r"^concat_channels: .*\(4, 5\)"):
+        T.concat_channels(a, b, out=np.zeros((4, 9)))
+    with pytest.raises(DimensionError, match=r"^concat_steps: .*\(6, 2\)"):
+        T.concat_steps([Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2)))], out=np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("op, call", [
+    ("stack_steps", lambda x: T.stack_steps([x, T.select_step(x, slice(0, 3))])),
+    ("mul_const", lambda x: T.mul_const(x, np.ones(4))),
+    ("select_step", lambda x: T.select_step(x, 1.5)),
+    ("gather_rows", lambda x: T.gather_rows(x, np.array([0, 4]))),
+    ("gather_rows", lambda x: T.gather_rows(x, np.array([[0, 1]]))),
+    ("gather_rows", lambda x: T.gather_rows(x, np.array([-1]))),  # never read from the end
+], ids=["stack_unequal", "mul_const_no_broadcast", "select_float", "gather_past_n",
+        "gather_2d_index", "gather_negative"])
+def test_bad_arguments_to_public_ops_raise_dimension_errors_naming_the_op(op, call):
+    with pytest.raises(DimensionError, match=f"^{op}: "):
+        call(Tensor(np.ones((4, 3))))
+
+
 def _channel_join(shape, c):
     """A (..., c + extra) join array and its left-hand channels as a view."""
     join = np.full(shape, np.nan)
@@ -256,25 +280,8 @@ def test_gather_rows_into_a_view_has_the_bytes_of_a_new_array(monkeypatch):
         assert np.allclose(grads[0], want_grad, rtol=0, atol=1e-12)
     with pytest.raises(DimensionError):
         T.gather_rows(x, index, np.empty((7, 4, 3)))
-
-
-def test_matmul_into_a_view_has_the_bytes_of_matmul():
-    rng = np.random.default_rng(52)
-    a = Tensor(rng.normal(size=(3, 9, 35)), requires_grad=True)
-    b = Tensor(rng.normal(size=(35, 32)), requires_grad=True)
-    g = rng.normal(size=(3, 9, 32))
-    want = T.matmul(a, b)
-    want_grads = T.grads(T._reduce_sum(T.mul_const(want, g)), [a, b])
-    join, view = _channel_join((3, 9, 40), 32)
-    got = T.matmul_into(a, b, view)
-    assert got.data is view and got.data.tobytes() == want.data.tobytes()
-    assert np.isnan(join[..., 32:]).all()
-    for x, y in zip(T.grads(T._reduce_sum(T.mul_const(got, g)), [a, b]), want_grads):
-        assert x.tobytes() == y.tobytes()
-    with pytest.raises(DimensionError):
-        T.matmul_into(a, b, np.empty((3, 9, 31)))
-    with pytest.raises(DimensionError):  # its rows are no view of it: a product would be lost
-        T.matmul_into(a, b, np.empty((3, 12, 32))[:, :9])
+    with pytest.raises(DimensionError):  # its rows are no view of it: a gather would be lost
+        T.gather_rows(x, index, np.empty((7, 8, 3))[:, :5])
 
 
 def test_a_join_built_in_place_equals_concat_channels():
@@ -526,19 +533,6 @@ def test_gather_rows_backward_matches_add_at():
         assert _same_bits(got[x], want)
 
 
-def test_reshape_values_and_gradient():
-    x = leaf((2, 3, 4), seed=24)
-    assert np.array_equal(T.reshape(x, (2, 6, -1)).data, x.data.reshape(2, 6, 2))
-    w = np.random.default_rng(25).normal(size=(3, 8))
-    check_gradients(
-        lambda: T._reduce_sum(T.mul_const(T.tanh(T.reshape(x, (3, 8))), w)),
-        [x],
-        rel_tol=1e-6,
-    )
-    with pytest.raises(DimensionError):
-        T.reshape(x, (5, 5))
-
-
 def test_partial_gradients_never_write_into_a_shared_buffer():
     # add hands one array to both parents; a later partial (select_step)
     # gradient for u must not leak into v's gradient through that array
@@ -745,9 +739,9 @@ def test_a_parent_from_another_threads_tape_is_a_usage_error():
 
 def test_the_tape_keeps_no_op_output():
     x = leaf((4, 3), seed=1)
-    y = T.reshape(T.tanh(x), (3, 4))
+    y = T.select_step(T.tanh(x), slice(0, 3))
     loss = T._reduce_mean(y)
     ref_y = weakref.ref(y.data)  # a view of tanh's output, which tanh's pullback reads
     del y
-    assert ref_y() is None  # neither the tape nor reshape's or mean's pullback holds it
+    assert ref_y() is None  # neither the tape nor select_step's or mean's pullback holds it
     assert set(T.backward(loss)) == {x}
